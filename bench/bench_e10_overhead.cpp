@@ -9,12 +9,15 @@
 //                  empty payload (dispatch + queue + transport);
 //   reentrant    — same round trip bypassing the command queue
 //                  (ablation of the actor/process semantics);
-//   echo         — full round trip carrying the payload both ways.
+//   echo         — full round trip carrying a byte vector to the servant;
+//   page         — the same with a storage::Page, whose bytes are spliced
+//                  into the message and decoded as a view (no copies).
 #include <cstdio>
 #include <vector>
 
 #include "bench_common.hpp"
 #include "core/oopp.hpp"
+#include "storage/page.hpp"
 
 using namespace oopp;
 
@@ -28,6 +31,7 @@ class Probe {
   std::uint64_t echo(const std::vector<std::uint8_t>& bytes) {
     return bytes.size();
   }
+  std::uint64_t take_page(const storage::Page& page) { return page.size(); }
 
  private:
 };
@@ -43,6 +47,7 @@ struct oopp::rpc::class_def<Probe> {
     b.template method<&Probe::noop>("noop");
     b.template method<&Probe::noop_fast>("noop_fast", reentrant);
     b.template method<&Probe::echo>("echo");
+    b.template method<&Probe::take_page>("take_page");
   }
 };
 
@@ -73,11 +78,13 @@ int main() {
               "us (queue overhead %.2f us)\n",
               ping_us, fast_us, ping_us - fast_us);
 
-  std::printf("\n%10s | %14s %14s %16s\n", "payload", "serialize us",
-              "echo us", "echo - ping us");
-  std::printf("-----------+-----------------------------------------------\n");
+  std::printf("\n%10s | %14s %14s %16s %14s\n", "payload", "serialize us",
+              "echo us", "echo - ping us", "page us");
+  std::printf("-----------+------------------------------------------------"
+              "--------------\n");
   for (std::size_t size : {0u, 256u, 4096u, 65536u, 1048576u}) {
     std::vector<std::uint8_t> payload(size, 0x5a);
+    const storage::Page page(size, payload.data());
     const int r = size >= 65536 ? 101 : 1001;
 
     const double ser_us =
@@ -98,8 +105,14 @@ int main() {
                            }) /
                            r * 1e6;
 
-    std::printf("%9zuB | %14.2f %14.2f %16.2f\n", size, ser_us, echo_us,
-                echo_us - ping_us);
+    const double page_us = bench::median_seconds(5, [&] {
+                             for (int i = 0; i < r; ++i)
+                               (void)probe.call<&Probe::take_page>(page);
+                           }) /
+                           r * 1e6;
+
+    std::printf("%9zuB | %14.2f %14.2f %16.2f %14.2f\n", size, ser_us,
+                echo_us, echo_us - ping_us, page_us);
   }
 
   std::printf("\nshape checks:\n");
@@ -107,5 +120,7 @@ int main() {
               "process semantics is cheap");
   bench::note("serialize is ~2 memcpys of the payload and dominates echo "
               "growth; the remainder is dispatch + wakeups");
+  bench::note("a page travels by reference, so the page column stays near "
+              "the empty round trip at every size");
   return 0;
 }

@@ -379,39 +379,60 @@ void Array::release_claims(const std::vector<index_t>& lins) {
 
 namespace {
 
+/// A row-major block of doubles: (o1, o2, o3) is the global index of its
+/// first element, `ext` its extents.
+struct Layout {
+  index_t o1, o2, o3;
+  Extents3 ext;
+  [[nodiscard]] index_t offset(index_t i1, index_t i2, index_t i3) const {
+    return ext.linear(i1 - o1, i2 - o2, i3 - o3);
+  }
+};
+
+/// Copy the box `inter` from one row-major block to another.  Rows that
+/// are contiguous in both blocks merge into one memcpy: a box spanning the
+/// whole last axis of both joins its i2 rows, and one spanning the last
+/// two axes of both moves as a single run — so a page that holds whole
+/// rows of the slice costs one copy, not one per element.
+void copy_box(const double* src, const Layout& s, double* dst,
+              const Layout& d, const Domain& inter) {
+  const Extents3 e = inter.extents();
+  index_t run = e.n3, rows2 = e.n2, rows1 = e.n1;
+  if (e.n3 == s.ext.n3 && e.n3 == d.ext.n3) {
+    run *= rows2;
+    rows2 = 1;
+    if (e.n2 == s.ext.n2 && e.n2 == d.ext.n2) {
+      run *= rows1;
+      rows1 = 1;
+    }
+  }
+  const auto bytes = static_cast<std::size_t>(run) * sizeof(double);
+  const index_t i3 = inter.lo(2);
+  for (index_t i1 = inter.lo(0); i1 < inter.lo(0) + rows1; ++i1)
+    for (index_t i2 = inter.lo(1); i2 < inter.lo(1) + rows2; ++i2)
+      std::memcpy(dst + d.offset(i1, i2, i3), src + s.offset(i1, i2, i3),
+                  bytes);
+}
+
+Layout layout_of(const Domain& domain) {
+  return {domain.lo(0), domain.lo(1), domain.lo(2), domain.extents()};
+}
+
 /// Copy the intersection region from a fetched page into the caller's
-/// subarray buffer; contiguous i3 runs move with one memcpy each.
+/// subarray buffer.
 void page_to_buffer(const ArrayPage& page, index_t o1, index_t o2, index_t o3,
                     const Domain& inter, const Domain& domain,
                     std::vector<double>& out) {
-  const double* v = page.values();
-  const Extents3& pe = page.extents();
-  const index_t run = inter.extent(2);
-  for (index_t i1 = inter.lo(0); i1 < inter.hi(0); ++i1) {
-    for (index_t i2 = inter.lo(1); i2 < inter.hi(1); ++i2) {
-      const double* src =
-          v + pe.linear(i1 - o1, i2 - o2, inter.lo(2) - o3);
-      double* dst = out.data() + domain.local_offset(i1, i2, inter.lo(2));
-      std::memcpy(dst, src, static_cast<std::size_t>(run) * sizeof(double));
-    }
-  }
+  copy_box(page.values(), {o1, o2, o3, page.extents()}, out.data(),
+           layout_of(domain), inter);
 }
 
 /// Overlay the intersection region of the caller's subarray onto a page.
 void buffer_to_page(const std::vector<double>& sub, const Domain& domain,
                     const Domain& inter, index_t o1, index_t o2, index_t o3,
                     ArrayPage& page) {
-  double* v = page.values();
-  const Extents3& pe = page.extents();
-  const index_t run = inter.extent(2);
-  for (index_t i1 = inter.lo(0); i1 < inter.hi(0); ++i1) {
-    for (index_t i2 = inter.lo(1); i2 < inter.hi(1); ++i2) {
-      const double* src =
-          sub.data() + domain.local_offset(i1, i2, inter.lo(2));
-      double* dst = v + pe.linear(i1 - o1, i2 - o2, inter.lo(2) - o3);
-      std::memcpy(dst, src, static_cast<std::size_t>(run) * sizeof(double));
-    }
-  }
+  copy_box(sub.data(), layout_of(domain), page.values(),
+           {o1, o2, o3, page.extents()}, inter);
 }
 
 }  // namespace

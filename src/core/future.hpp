@@ -72,10 +72,10 @@ class Future {
     if constexpr (std::is_void_v<R>) {
       return;
     } else {
-      // Decode over the response's backing store: serial::Bytes results
-      // arrive as views into the frame, not copies.
-      const serial::Bytes backing = resp.payload.share();
-      serial::IArchive ia(backing.span(), backing.store(), backing.offset());
+      // Decode the response's slices in place: serial::Bytes results (a
+      // page's bytes) arrive as views of the frame or, in process, of the
+      // sender's own allocation — never as copies.
+      serial::IArchive ia(resp.payload.segments());
       return ia.read<R>();
     }
   }

@@ -1,25 +1,29 @@
 // Buffer: the zero-copy payload representation carried by net::Message.
 //
-// A Buffer is an ordered sequence of ref-counted byte slices.  The two
-// producers on the hot path construct it without copying:
+// A Buffer is an ordered chain of serial::Bytes — the same ref-counted
+// slice type the archives and storage::Page use, so a payload crosses
+// every layer as the one type.  The producers on the hot path construct
+// it without copying:
 //
 //   * serial::OArchive::take() yields a std::vector<std::byte> that the
-//     implicit Buffer constructor *adopts* (one move, zero copies) — the
-//     serialized argument pack travels from the archive through Message
-//     to the socket untouched;
+//     implicit Buffer constructor *adopts* (one move, zero copies), and
+//     to_buffer() keeps the slices an archive spliced (a page's bytes)
+//     as slices of their own;
 //   * a batched receive (wire::FrameReader) reads a whole batch payload
 //     into one shared allocation and hands each sub-frame a Buffer::view
 //     of its range.
 //
-// Copying a Buffer copies slice descriptors (refcount bumps), never the
-// bytes — which is what makes the retry driver's resend copy, the dedup
-// cache's replay copy, and FaultyFabric's pass-through effectively free.
+// Copying a Buffer copies slice handles (refcount bumps), never the bytes
+// — which is what makes the retry driver's resend copy, the dedup cache's
+// replay copy, and FaultyFabric's pass-through effectively free.
 //
-// Readers see a contiguous std::span<const std::byte> via bytes() (and an
+// Receivers decode the chain in place: serial::IArchive(segments()) reads
+// across slices and returns spliced Bytes fields as views.  Readers that
+// want one contiguous std::span<const std::byte> use bytes() (and an
 // implicit conversion, so `serial::IArchive ia(m.payload)` compiles
-// unchanged).  A single-slice Buffer — the overwhelmingly common case —
-// returns its storage directly; a multi-slice Buffer flattens lazily into
-// a cached allocation on first access.
+// unchanged).  A single-slice Buffer returns its storage directly; a
+// multi-slice Buffer flattens lazily into a cached allocation on first
+// access.
 //
 // A Buffer is immutable except for mutate_byte(), a copy-on-write hook
 // that exists solely so FaultyFabric can corrupt one byte without
@@ -50,11 +54,7 @@ class Buffer {
   /// call site that built a std::vector<std::byte> payload keeps
   /// compiling, and OArchive::take() feeds this directly.
   Buffer(std::vector<std::byte> bytes) {  // NOLINT(google-explicit-constructor)
-    if (bytes.empty()) return;
-    size_ = bytes.size();
-    slices_.push_back(Slice{
-        std::make_shared<const std::vector<std::byte>>(std::move(bytes)), 0,
-        size_});
+    push(serial::Bytes::adopt(std::move(bytes)));
   }
 
   /// A view of `[off, off+len)` of shared storage: how a batched receive
@@ -64,42 +64,23 @@ class Buffer {
     Buffer b;
     if (len == 0) return b;
     OOPP_CHECK(store != nullptr && off + len <= store->size());
-    b.size_ = len;
-    b.slices_.push_back(Slice{std::move(store), off, len});
+    b.push(serial::Bytes(std::move(store), off, len));
     return b;
   }
 
-  /// Adopt an OArchive's sealed segment chain (refcount bumps, no byte
-  /// copies): how a payload that spliced serial::Bytes slices reaches
-  /// the wire without flattening.  Segments arrive in stream order.
+  /// Adopt an OArchive's sealed segment chain (no byte copies): how a
+  /// payload that spliced serial::Bytes slices reaches the wire without
+  /// flattening.  Segments arrive in stream order.
   static Buffer from_segments(std::vector<serial::Bytes> segs) {
     Buffer b;
-    for (serial::Bytes& s : segs) {
-      if (s.empty()) continue;
-      b.size_ += s.size();
-      b.slices_.push_back(Slice{s.store(), s.offset(), s.size()});
-    }
+    b.slices_.reserve(segs.size());
+    for (serial::Bytes& s : segs) b.push(std::move(s));
     return b;
-  }
-
-  /// The whole payload as one ref-counted serial::Bytes slice — what an
-  /// IArchive takes to decode Bytes arguments as views into this buffer.
-  /// Single-slice buffers (the common case) share their storage
-  /// directly; a multi-slice buffer flattens once (the same lazy flatten
-  /// bytes() performs) and shares the flat allocation.
-  [[nodiscard]] serial::Bytes share() const {
-    if (slices_.empty()) return {};
-    if (slices_.size() == 1)
-      return serial::Bytes(slices_[0].store, slices_[0].off, slices_[0].len);
-    (void)bytes();  // materialize flat_
-    return serial::Bytes(flat_, 0, size_);
   }
 
   /// Append another buffer's slices (refcount bumps, no byte copies).
   void append(const Buffer& b) {
-    for (const Slice& s : b.slices_) slices_.push_back(s);
-    size_ += b.size_;
-    flat_.reset();
+    for (const serial::Bytes& s : b.slices_) push(s);
   }
 
   [[nodiscard]] std::size_t size() const { return size_; }
@@ -108,27 +89,30 @@ class Buffer {
 
   /// The i-th slice as a span — what send_framev turns into iovecs.
   [[nodiscard]] std::span<const std::byte> slice(std::size_t i) const {
-    const Slice& s = slices_[i];
-    return {s.store->data() + s.off, s.len};
+    return slices_[i].span();
+  }
+
+  /// The slice chain in stream order — what an IArchive decodes in place,
+  /// handing out views of the slices instead of copies.
+  [[nodiscard]] std::span<const serial::Bytes> segments() const {
+    return slices_;
   }
 
   /// Contiguous view of the whole payload.  Free for empty and
   /// single-slice buffers; a multi-slice buffer flattens once into a
-  /// cached allocation (rare: only consumers that parse a scatter-built
-  /// payload pay it).
+  /// cached allocation (only consumers that want one span of a
+  /// scatter-built payload pay it).
   [[nodiscard]] std::span<const std::byte> bytes() const {
     if (slices_.empty()) return {};
     if (slices_.size() == 1) return slice(0);
-    if (!flat_) {
-      auto flat = std::make_shared<std::vector<std::byte>>();
-      flat->reserve(size_);
-      for (std::size_t i = 0; i < slices_.size(); ++i) {
-        const auto s = slice(i);
-        flat->insert(flat->end(), s.begin(), s.end());
-      }
-      flat_ = std::move(flat);
+    if (flat_.empty()) {
+      std::vector<std::byte> flat;
+      flat.reserve(size_);
+      for (const serial::Bytes& s : slices_)
+        flat.insert(flat.end(), s.span().begin(), s.span().end());
+      flat_ = serial::Bytes::adopt(std::move(flat));
     }
-    return {flat_->data(), flat_->size()};
+    return flat_.span();
   }
 
   // NOLINTNEXTLINE(google-explicit-constructor)
@@ -147,8 +131,8 @@ class Buffer {
   /// "unchecked" in the frame header).  Computed per slice — no flatten.
   [[nodiscard]] std::uint32_t checksum() const {
     std::uint64_t h = 0xcbf29ce484222325ULL;
-    for (std::size_t i = 0; i < slices_.size(); ++i) {
-      for (std::byte b : slice(i)) {
+    for (const serial::Bytes& s : slices_) {
+      for (std::byte b : s.span()) {
         h ^= static_cast<std::uint8_t>(b);
         h *= 0x100000001b3ULL;
       }
@@ -157,27 +141,34 @@ class Buffer {
     return folded == 0 ? 1 : folded;
   }
 
-  /// Copy-on-write single-byte XOR, for fault injection only: other
-  /// Buffers sharing these slices are unaffected.
+  /// Copy-on-write single-byte XOR, for fault injection only: the slice
+  /// holding `pos` moves onto a private copy if anything else shares it,
+  /// so other Buffers sharing these slices are unaffected.
   void mutate_byte(std::size_t pos, std::byte xor_mask) {
     OOPP_CHECK(pos < size_);
-    std::vector<std::byte> copy = to_vector();
-    copy[pos] ^= xor_mask;
-    *this = Buffer(std::move(copy));
+    for (serial::Bytes& s : slices_) {
+      if (pos < s.size()) {
+        s.mutable_data()[pos] ^= xor_mask;
+        flat_ = {};
+        return;
+      }
+      pos -= s.size();
+    }
   }
 
  private:
-  struct Slice {
-    std::shared_ptr<const std::vector<std::byte>> store;
-    std::size_t off = 0;
-    std::size_t len = 0;
-  };
+  void push(serial::Bytes s) {
+    if (s.empty()) return;
+    size_ += s.size();
+    slices_.push_back(std::move(s));
+    flat_ = {};
+  }
 
-  std::vector<Slice> slices_;
+  std::vector<serial::Bytes> slices_;
   std::size_t size_ = 0;
   /// Lazily built contiguous copy for multi-slice buffers; shared so that
   /// copies of a flattened Buffer reuse it.
-  mutable std::shared_ptr<const std::vector<std::byte>> flat_;
+  mutable serial::Bytes flat_;
 };
 
 /// Finish an OArchive into a Buffer, preserving spliced segments: the

@@ -221,27 +221,27 @@ inline bool send_frame(int fd, const Message& m) {
   return true;
 }
 
-/// Send one framed message as a single gather-write: byte-identical to
-/// send_frame on the wire, but one syscall and no payload flatten — each
-/// Buffer slice becomes an iovec.
+/// Send one framed message as a gather-write: byte-identical to
+/// send_frame on the wire, but no payload flatten — each Buffer slice
+/// becomes an iovec.  A batch of pages carries two slices per page, so
+/// long chains spill from the stack array to the heap.
 inline bool send_framev(int fd, const Message& m) {
   std::uint8_t hdr[kMaxFrameHeaderSize];
   const std::size_t hlen = encode_header(m.header, m.payload.size(), hdr);
-  std::array<iovec, 64> iov;
-  if (m.payload.slice_count() + 1 > iov.size()) {
-    // Degenerate scatter (never produced by the runtime today): flatten.
-    const auto payload = m.payload.bytes();
-    iov[0] = {hdr, hlen};
-    iov[1] = {const_cast<std::byte*>(payload.data()), payload.size()};
-    return writev_all(fd, iov.data(), 2);
+  std::array<iovec, 64> small;
+  std::vector<iovec> large;
+  iovec* iov = small.data();
+  if (m.payload.slice_count() + 1 > small.size()) {
+    large.resize(m.payload.slice_count() + 1);
+    iov = large.data();
   }
   std::size_t cnt = 0;
   iov[cnt++] = {hdr, hlen};
   for (std::size_t i = 0; i < m.payload.slice_count(); ++i) {
     const auto s = m.payload.slice(i);
-    if (!s.empty()) iov[cnt++] = {const_cast<std::byte*>(s.data()), s.size()};
+    iov[cnt++] = {const_cast<std::byte*>(s.data()), s.size()};
   }
-  return writev_all(fd, iov.data(), cnt);
+  return writev_all(fd, iov, cnt);
 }
 
 // ---------------------------------------------------------------------------
@@ -483,7 +483,8 @@ class StreamFrameDecoder {
       }
       const std::size_t take =
           std::min<std::size_t>(n, store_.size() - filled_);
-      std::memcpy(store_.data() + filled_, data, take);
+      // An empty payload's store has no data(): memcpy(null, _, 0) is UB.
+      if (take != 0) std::memcpy(store_.data() + filled_, data, take);
       filled_ += take;
       data += take;
       n -= take;

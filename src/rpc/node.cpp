@@ -492,11 +492,11 @@ void Node::execute(const std::shared_ptr<ObjectTable::Entry>& entry,
 
   const std::int64_t t0 = trace_ ? now_ns() : 0;
   try {
-    // Decode over the payload's shared backing store so serial::Bytes
-    // arguments alias the inbound frame (zero-copy receive), and respond
-    // through to_buffer so spliced Bytes results go back out as slices.
-    const serial::Bytes backing = req.payload.share();
-    serial::IArchive ia(backing.span(), backing.store(), backing.offset());
+    // Decode the payload's slices in place so serial::Bytes arguments (a
+    // page to write) alias the inbound frame or the caller's allocation,
+    // and respond through to_buffer so spliced Bytes results go back out
+    // as slices.
+    serial::IArchive ia(req.payload.segments());
     serial::OArchive oa;
     mi->fn(entry->servant->instance(), ia, oa);
     if (trace_) {

@@ -17,6 +17,7 @@
 // (Ar = IArchive), so the two directions can never drift apart.
 #pragma once
 
+#include <algorithm>
 #include <array>
 #include <bit>
 #include <complex>
@@ -285,24 +286,23 @@ class OArchive {
 };
 
 // ---------------------------------------------------------------------------
-// IArchive — bounds-checked byte source over a non-owning span.
+// IArchive — bounds-checked byte source over a non-owning span or a chain
+// of ref-counted segments.
 // ---------------------------------------------------------------------------
 class IArchive {
  public:
-  explicit IArchive(std::span<const std::byte> data) : data_(data) {}
+  /// Decode a plain span: Bytes fields come back as copies.
+  explicit IArchive(std::span<const std::byte> data) : cur_(data) {}
 
-  /// Decode over a span that lives inside a shared allocation (`data`
-  /// starts at `base_off` within `*store`).  read_into(Bytes&) then
-  /// returns ref-counted *views* into the store instead of copies — the
-  /// zero-copy receive half: an RPC layer hands the request payload's
-  /// backing store here so servant methods taking Bytes arguments alias
-  /// the inbound frame.
-  IArchive(std::span<const std::byte> data,
-           std::shared_ptr<const std::vector<std::byte>> store,
-           std::size_t base_off)
-      : data_(data), store_(std::move(store)), base_(base_off) {
-    if (store_ != nullptr && base_ + data_.size() > store_->size())
-      throw serial_error("IArchive: span extends past its backing store");
+  /// Decode a chain of ref-counted segments in stream order — a
+  /// net::Buffer's slices.  The zero-copy receive half: a Bytes field
+  /// that lies inside one segment comes back as a view of it, and every
+  /// field OArchive spliced does, because splicing gives the slice a
+  /// segment of its own.  So an in-process message is decoded without
+  /// flattening it, and a page the sender spliced reaches the receiver as
+  /// the sender's own allocation.  `segments` must outlive the archive.
+  explicit IArchive(std::span<const Bytes> segments) : rest_(segments) {
+    for (const Bytes& s : segments) left_ += s.size();
   }
 
   template <class... Ts>
@@ -428,20 +428,31 @@ class IArchive {
   }
 
   /// Length-prefixed byte slice (symmetric with OArchive::write(Bytes)).
-  /// With a backing store this is a ref-counted view — no copy; without
-  /// one the bytes are copied into a fresh allocation.
+  /// Inside one segment with a backing store this is a ref-counted view —
+  /// no copy; otherwise the bytes are copied into a fresh allocation.
   void read_into(Bytes& b) {
     const auto n = read_size();
-    if (store_ != nullptr)
-      b = Bytes(store_, base_ + pos_, n);
-    else
-      b = Bytes::copy({data_.data() + pos_, n});
+    if (n == 0) {
+      b = {};
+      return;
+    }
+    while (pos_ == cur_.size()) next_segment();  // a splice starts a segment
+    if (n > cur_.size() - pos_) {
+      std::vector<std::byte> v(n);
+      consume(v.data(), n);
+      b = Bytes::adopt(std::move(v));
+      return;
+    }
+    b = store_ != nullptr ? Bytes(store_, base_ + pos_, n)
+                          : Bytes::copy(cur_.subspan(pos_, n));
     pos_ += n;
   }
 
   void read_raw(void* p, std::size_t n) { consume(p, n); }
 
-  [[nodiscard]] std::size_t remaining() const { return data_.size() - pos_; }
+  [[nodiscard]] std::size_t remaining() const {
+    return cur_.size() - pos_ + left_;
+  }
   [[nodiscard]] bool exhausted() const { return remaining() == 0; }
 
  private:
@@ -457,17 +468,41 @@ class IArchive {
                          std::to_string(remaining()) + ")");
   }
   void consume(void* out, std::size_t n) {
-    require(n);
     // n == 0 must skip the memcpy: `out` is null when the destination is
     // an empty container's data(), and memcpy(null, _, 0) is still UB.
-    if (n != 0) std::memcpy(out, data_.data() + pos_, n);
-    pos_ += n;
+    if (n <= cur_.size() - pos_) {  // the common case: inside this segment
+      if (n != 0) std::memcpy(out, cur_.data() + pos_, n);
+      pos_ += n;
+      return;
+    }
+    require(n);
+    auto* dst = static_cast<std::byte*>(out);
+    while (n != 0) {
+      while (pos_ == cur_.size()) next_segment();  // skips empty segments
+      const std::size_t k = std::min(n, cur_.size() - pos_);
+      std::memcpy(dst, cur_.data() + pos_, k);
+      dst += k;
+      pos_ += k;
+      n -= k;
+    }
   }
-  std::span<const std::byte> data_;
-  std::size_t pos_ = 0;
-  /// Optional shared backing allocation for zero-copy Bytes views.
+  /// Move on to the next segment; callers have checked that bytes remain.
+  void next_segment() {
+    const Bytes& s = rest_.front();
+    rest_ = rest_.subspan(1);
+    cur_ = s.span();
+    pos_ = 0;
+    store_ = s.store();
+    base_ = s.offset();
+    left_ -= s.size();
+  }
+  std::span<const std::byte> cur_;  // the segment being read
+  std::size_t pos_ = 0;             // read position within cur_
+  /// cur_'s shared backing allocation (null: Bytes fields are copied).
   std::shared_ptr<const std::vector<std::byte>> store_;
-  std::size_t base_ = 0;  // offset of data_[0] within *store_
+  std::size_t base_ = 0;         // offset of cur_[0] within *store_
+  std::span<const Bytes> rest_;  // segments after cur_
+  std::size_t left_ = 0;         // bytes in rest_
 };
 
 /// Convenience: serialize a single value to a byte vector.

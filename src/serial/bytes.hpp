@@ -1,17 +1,21 @@
-// Bytes: a ref-counted, immutable byte slice — the serialization-layer
-// twin of net::Buffer's internal slices.
+// Bytes: a ref-counted byte slice — the one payload type every layer
+// shares.  net::Buffer is a chain of them, storage::Page holds one.
 //
-// A Bytes names `[off, off+len)` of a shared immutable allocation.  It is
-// the type a payload keeps while crossing layers without being copied:
+// A Bytes names `[off, off+len)` of a shared allocation.  It is the type a
+// payload keeps while crossing layers without being copied:
 //
 //   * OArchive::write(const Bytes&) *splices* a large slice into the
 //     encoded stream as its own segment instead of memcpy-ing it, so a
 //     net::Buffer built from the archive's segments carries the original
 //     allocation to the socket (serialize once at the source);
-//   * IArchive::read_into(Bytes&) returns a *view* into the request
-//     payload's backing store when the archive was constructed over one,
-//     so a forwarding hop (a collective member re-sending a segment it
-//     just received) never touches the bytes.
+//   * IArchive::read_into(Bytes&) returns a *view* into the payload it
+//     decodes when the archive runs over ref-counted segments, so a page a
+//     device read travels to the client that assembles it, and a segment a
+//     collective member forwards goes back out, without touching the bytes.
+//
+// Shared bytes are immutable; mutable_data() is copy-on-write, so a holder
+// that writes first moves onto a private copy and no other holder (a
+// pending resend, a dedup replay, a cache) ever sees the write.
 //
 // The wire format is identical to a length-prefixed byte vector — whether
 // a Bytes was spliced or inlined is invisible to the receiver, and a
@@ -19,10 +23,11 @@
 // versa as long as framing matches.
 //
 // serial must stay the bottom layer (net links against it), which is why
-// this type lives here and net::Buffer interops with it, not the other
+// this type lives here and net::Buffer is built from it, not the other
 // way around.
 #pragma once
 
+#include <atomic>
 #include <cstddef>
 #include <cstring>
 #include <memory>
@@ -82,8 +87,26 @@ class Bytes {
   [[nodiscard]] std::size_t size() const { return len_; }
   [[nodiscard]] bool empty() const { return len_ == 0; }
 
-  /// The backing allocation and this slice's offset into it — what
-  /// net::Buffer::view() takes to wrap the slice without copying.
+  /// Copy-on-write access to this slice's bytes.  When anything else
+  /// holds the store (another Bytes, a net::Buffer, an archive) the slice
+  /// first moves onto a private copy; a sole holder writes in place.  As
+  /// with any copy-on-write handle, writes through the pointer are private
+  /// only until this Bytes is next copied — fetch it again after a copy.
+  [[nodiscard]] std::byte* mutable_data() {
+    if (store_ == nullptr) return nullptr;
+    if (store_.use_count() != 1) {
+      *this = copy(span());
+    } else {
+      // Pairs with the release decrement of the holder that let go last,
+      // so its reads of the bytes happen before our writes.
+      std::atomic_thread_fence(std::memory_order_acquire);
+    }
+    // Only the vector object is const; its elements never are, and no
+    // one else can reach them now.
+    return const_cast<std::byte*>(store_->data()) + off_;
+  }
+
+  /// The backing allocation and this slice's offset into it.
   [[nodiscard]] const std::shared_ptr<const std::vector<std::byte>>& store()
       const {
     return store_;

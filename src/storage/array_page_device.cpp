@@ -56,11 +56,8 @@ void ArrayPageDevice::oopp_save(serial::OArchive& oa) const {
 }
 
 ArrayPage ArrayPageDevice::read_array(int page_index) const {
-  const Page raw = read(page_index);
-  ArrayPage p(static_cast<int>(extents_.n1), static_cast<int>(extents_.n2),
-              static_cast<int>(extents_.n3),
-              reinterpret_cast<const double*>(raw.data()));
-  return p;
+  return ArrayPage(static_cast<int>(extents_.n1), static_cast<int>(extents_.n2),
+                   static_cast<int>(extents_.n3), read(page_index).bytes());
 }
 
 void ArrayPageDevice::write_array(const ArrayPage& p, int page_index) {
@@ -71,14 +68,15 @@ void ArrayPageDevice::write_array(const ArrayPage& p, int page_index) {
 
 std::vector<ArrayPage> ArrayPageDevice::read_arrays(
     std::vector<std::int32_t> indices) const {
+  // The blocks wrap the bytes read_pages read: the reply splices each one
+  // and the client assembles straight from it.
   std::vector<Page> raw = read_pages(std::move(indices));
   std::vector<ArrayPage> out;
   out.reserve(raw.size());
   for (const auto& p : raw)
     out.emplace_back(static_cast<int>(extents_.n1),
                      static_cast<int>(extents_.n2),
-                     static_cast<int>(extents_.n3),
-                     reinterpret_cast<const double*>(p.data()));
+                     static_cast<int>(extents_.n3), p.bytes());
   return out;
 }
 
@@ -182,10 +180,11 @@ void ArrayPageDevice::update_region(Update op, double s, int page_address,
   ArrayPage p = read_array(page_address);
   OOPP_CHECK(lo1 >= 0 && hi1 <= extents_.n1 && lo2 >= 0 &&
              hi2 <= extents_.n2 && lo3 >= 0 && hi3 <= extents_.n3);
+  double* v = p.values();
   for (index_t i1 = lo1; i1 < hi1; ++i1) {
     for (index_t i2 = lo2; i2 < hi2; ++i2) {
       for (index_t i3 = lo3; i3 < hi3; ++i3) {
-        double& x = p.values()[p.extents().linear(i1, i2, i3)];
+        double& x = v[p.extents().linear(i1, i2, i3)];
         switch (op) {
           case Update::kFill:
             x = s;

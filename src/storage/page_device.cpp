@@ -246,9 +246,10 @@ void PageDevice::write_pages(std::vector<Page> pages,
     for (std::size_t i = 0; i < indices.size(); ++i) {
       const auto offset =
           static_cast<long>(indices[i]) * static_cast<long>(page_size_);
+      // Read-only access: the page may be a view of the caller's bytes.
+      const Page& p = pages[i];
       OOPP_CHECK(std::fseek(f_, offset, SEEK_SET) == 0);
-      OOPP_CHECK(std::fwrite(pages[i].data(), 1, pages[i].size(), f_) ==
-                 pages[i].size());
+      OOPP_CHECK(std::fwrite(p.data(), 1, p.size(), f_) == p.size());
     }
     OOPP_CHECK(std::fflush(f_) == 0);
   }

@@ -338,6 +338,31 @@ TEST(Array, PartialWritePreservesSurroundings) {
       }
 }
 
+// Pages that span whole rows of the array move in merged runs: one copy
+// per page when the domain spans the last two axes too, one per plane
+// when it spans only the last, one per row otherwise.  Every case must
+// place the same elements as the reference model.
+TEST(Array, WholeRowPagesAssembleInMergedRuns) {
+  ArrayFixture fx;
+  const Extents3 n{6, 4, 5};
+  auto a = fx.make(n, {2, 4, 5}, 2);
+  std::vector<double> model(static_cast<std::size_t>(n.volume()), 0.0);
+  oopp::Xoshiro256 rng(5);
+  for (const arr::Domain& d :
+       {arr::Domain::whole(n), arr::Domain(1, 6, 0, 4, 0, 5),
+        arr::Domain(0, 6, 1, 3, 0, 5), arr::Domain(1, 5, 0, 4, 1, 4)}) {
+    std::vector<double> buf(static_cast<std::size_t>(d.volume()));
+    for (auto& x : buf) x = rng.uniform(-1.0, 1.0);
+    a.write(buf, d);
+    for (index_t i1 = d.lo(0); i1 < d.hi(0); ++i1)
+      for (index_t i2 = d.lo(1); i2 < d.hi(1); ++i2)
+        for (index_t i3 = d.lo(2); i3 < d.hi(2); ++i3)
+          model[n.linear(i1, i2, i3)] = buf[d.local_offset(i1, i2, i3)];
+    EXPECT_EQ(a.read(d), buf);
+    EXPECT_EQ(a.read(arr::Domain::whole(n)), model);
+  }
+}
+
 TEST(Array, SumMatchesLocalReduction) {
   ArrayFixture fx;
   auto a = fx.make({6, 6, 6}, {4, 4, 4}, 3);

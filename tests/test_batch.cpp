@@ -117,16 +117,21 @@ TEST(WireCodec, SendFramevMatchesSendFrameByteForByte) {
 
 TEST(WireCodec, SendFramevHandlesMultiSlicePayloads) {
   auto m = req(1, 0);
-  net::Buffer p(pattern(50, 1));
-  p.append(net::Buffer(pattern(50, 2)));
-  p.append(net::Buffer(pattern(50, 3)));
-  m.payload = p;
+  // Three slices, and more slices than the stack iovec array holds (a
+  // batch of pages carries two per page).
+  for (int slices : {3, 150}) {
+    net::Buffer p;
+    for (int i = 0; i < slices; ++i)
+      p.append(net::Buffer(pattern(50, static_cast<std::uint8_t>(i))));
+    ASSERT_EQ(p.slice_count(), static_cast<std::size_t>(slices));
+    m.payload = p;
 
-  SocketPair sp;
-  ASSERT_TRUE(wire::send_framev(sp.a, m));
-  net::Message got;
-  ASSERT_TRUE(wire::recv_frame(sp.b, got));
-  EXPECT_EQ(got.payload.to_vector(), p.to_vector());
+    SocketPair sp;
+    ASSERT_TRUE(wire::send_framev(sp.a, m));
+    net::Message got;
+    ASSERT_TRUE(wire::recv_frame(sp.b, got));
+    EXPECT_EQ(got.payload.to_vector(), p.to_vector());
+  }
 }
 
 TEST(WireCodec, BatchRoundTripsThroughFrameReader) {

@@ -8,6 +8,7 @@
 
 #include <chrono>
 #include <cmath>
+#include <cstdint>
 #include <filesystem>
 #include <memory>
 #include <thread>
@@ -159,7 +160,11 @@ struct AllreduceCase {
   int len;
   ReduceKind kind;
   Algo algo;
+  // The test's name is a dump of these bytes; an explicit zeroed tail keeps
+  // uninitialised padding (which varies from run to run) out of it.
+  std::uint16_t pad = 0;
 };
+static_assert(sizeof(AllreduceCase) == 12, "AllreduceCase has padding");
 
 class AllreduceSweep : public ::testing::TestWithParam<AllreduceCase> {};
 

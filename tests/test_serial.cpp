@@ -297,16 +297,15 @@ TEST(SerialBytes, TakeSegmentsCarriesTheOriginalAllocation) {
 
 TEST(SerialBytes, DecodeOverBackingStoreAliasesInsteadOfCopying) {
   // Encode a large Bytes, flatten to one allocation (as the transport
-  // would), then decode over that allocation as the backing store: the
+  // would), then decode that allocation as a one-segment chain: the
   // decoded Bytes must be a view into it, not a fresh copy.
   const auto payload = pattern_bytes(512);
   serial::OArchive oa;
   oa(serial::Bytes::adopt(payload));
   auto store =
       std::make_shared<const std::vector<std::byte>>(oa.take());
-  serial::IArchive ia(std::span<const std::byte>(store->data(),
-                                                 store->size()),
-                      store, 0);
+  const serial::Bytes frame(store, 0, store->size());
+  serial::IArchive ia(std::span<const serial::Bytes>(&frame, 1));
   serial::Bytes out;
   ia.read_into(out);
   EXPECT_EQ(out.size(), payload.size());
@@ -321,6 +320,82 @@ TEST(SerialBytes, DecodeOverBackingStoreAliasesInsteadOfCopying) {
   plain.read_into(copied);
   EXPECT_EQ(copied.size(), payload.size());
   EXPECT_NE(copied.store(), store);
+}
+
+TEST(SerialBytes, MutableDataCopiesOnlyWhenShared) {
+  serial::Bytes a = serial::Bytes::adopt(pattern_bytes(64));
+  const std::byte* original = a.data();
+  // Sole holder: the write lands in place.
+  EXPECT_EQ(a.mutable_data(), original);
+  a.mutable_data()[0] = std::byte{0xAA};
+
+  // Shared: the writer moves onto a private copy; the other holder keeps
+  // the bytes it had.
+  serial::Bytes b = a;
+  b.mutable_data()[1] = std::byte{0xBB};
+  EXPECT_NE(b.data(), original);
+  EXPECT_EQ(a.data(), original);
+  EXPECT_EQ(a.data()[1], pattern_bytes(64)[1]);
+  EXPECT_EQ(b.data()[0], std::byte{0xAA});
+  EXPECT_EQ(b.data()[1], std::byte{0xBB});
+
+  // A subview shares the store too, and copies only its own range.
+  serial::Bytes sub = a.subview(8, 8);
+  sub.mutable_data()[0] = std::byte{0xCC};
+  EXPECT_EQ(sub.size(), 8u);
+  EXPECT_EQ(a.data()[8], pattern_bytes(64)[8]);
+  EXPECT_EQ(serial::Bytes{}.mutable_data(), nullptr);
+}
+
+TEST(SerialBytes, SegmentChainDecodeAliasesSplicedSlices) {
+  // The in-process receive path: the sender's segment chain is decoded as
+  // is, and each spliced slice comes back as the sender's own allocation.
+  serial::Bytes big = serial::Bytes::adopt(pattern_bytes(1024));
+  serial::Bytes mid = serial::Bytes::adopt(pattern_bytes(512));
+  serial::OArchive oa;
+  oa(std::string("head"), big, std::uint32_t{7}, mid, std::string("tail"));
+  const auto segs = oa.take_segments();
+  ASSERT_GE(segs.size(), 4u);
+
+  serial::IArchive ia(segs);
+  EXPECT_EQ(ia.read<std::string>(), "head");
+  const auto b1 = ia.read<serial::Bytes>();
+  EXPECT_EQ(ia.read<std::uint32_t>(), 7u);
+  const auto b2 = ia.read<serial::Bytes>();
+  EXPECT_EQ(ia.read<std::string>(), "tail");
+  EXPECT_TRUE(ia.exhausted());
+  EXPECT_EQ(b1.data(), big.data());
+  EXPECT_EQ(b2.data(), mid.data());
+  EXPECT_EQ(b1.size(), 1024u);
+  EXPECT_EQ(b2.size(), 512u);
+}
+
+TEST(SerialBytes, SegmentChainMatchesFlatDecodeAtEverySplit) {
+  // Segment boundaries may fall anywhere — inside a scalar, a length
+  // prefix or a byte field — and the decode must still match the flat
+  // one; a chain cut short must throw, never read past its end.
+  const Inner v{0x12345678, std::string(40, 'q')};
+  const auto flat = serial::to_bytes(v);
+  for (std::size_t a = 0; a <= flat.size(); ++a) {
+    for (std::size_t b = a; b <= flat.size(); b += 5) {
+      const std::vector<serial::Bytes> segs = {
+          serial::Bytes::copy({flat.data(), a}),
+          serial::Bytes::copy({flat.data() + a, b - a}),
+          serial::Bytes::copy({flat.data() + b, flat.size() - b})};
+      serial::IArchive ia(segs);
+      Inner out;
+      ia(out);
+      ASSERT_EQ(out, v) << "split at " << a << "," << b;
+      ASSERT_TRUE(ia.exhausted());
+
+      if (b < flat.size()) {
+        const std::span<const serial::Bytes> head(segs.data(), 2);
+        serial::IArchive cut(head);
+        Inner partial;
+        EXPECT_THROW(cut(partial), serial::serial_error);
+      }
+    }
+  }
 }
 
 // Property test: random nested structures survive a round trip.

@@ -22,6 +22,67 @@ namespace fs = std::filesystem;
 
 namespace {
 
+/// Keeps the page it is given and reports where its bytes live.
+class PageHolder {
+ public:
+  void put(storage::Page p) { page_ = std::move(p); }
+  [[nodiscard]] storage::Page get() const { return page_; }
+  [[nodiscard]] std::uint64_t address() const {
+    return reinterpret_cast<std::uintptr_t>(page_.bytes().data());
+  }
+
+ private:
+  storage::Page page_;
+};
+
+/// An ArrayPageDevice that records where its batched reads put the bytes.
+class TracingDevice : public storage::ArrayPageDevice {
+ public:
+  TracingDevice(std::string file, int pages, int n1, int n2, int n3)
+      : ArrayPageDevice(std::move(file), pages, n1, n2, n3) {}
+  explicit TracingDevice(oopp::serial::IArchive& ia) : ArrayPageDevice(ia) {}
+  [[nodiscard]] std::vector<storage::Page> read_pages(
+      std::vector<std::int32_t> indices) const override {
+    auto pages = ArrayPageDevice::read_pages(std::move(indices));
+    for (const auto& p : pages)
+      read_at_.push_back(reinterpret_cast<std::uintptr_t>(p.data()));
+    return pages;
+  }
+  [[nodiscard]] std::vector<std::uint64_t> read_addresses() const {
+    return read_at_;
+  }
+
+ private:
+  mutable std::vector<std::uint64_t> read_at_;
+};
+
+}  // namespace
+
+template <>
+struct oopp::rpc::class_def<PageHolder> {
+  static std::string name() { return "test.PageHolder"; }
+  using ctors = ctor_list<ctor<>>;
+  template <class B>
+  static void bind(B& b) {
+    b.template method<&PageHolder::put>("put");
+    b.template method<&PageHolder::get>("get");
+    b.template method<&PageHolder::address>("address");
+  }
+};
+
+template <>
+struct oopp::rpc::class_def<TracingDevice> {
+  static std::string name() { return "test.TracingDevice"; }
+  using ctors = ctor_list<ctor<std::string, int, int, int, int>>;
+  template <class B>
+  static void bind(B& b) {
+    class_def<oopp::storage::ArrayPageDevice>::bind(b);
+    b.template method<&TracingDevice::read_addresses>("read_addresses");
+  }
+};
+
+namespace {
+
 class TempDir {
  public:
   TempDir() {
@@ -66,6 +127,68 @@ TEST(Page, FromRawBuffer) {
   storage::Page p(4, raw);
   EXPECT_EQ(p[0], 1);
   EXPECT_EQ(p[3], 4);
+}
+
+TEST(Page, CopiesShareBytesUntilWritten) {
+  storage::Page p = pattern_page(4096, 1);
+  const auto* original = p.bytes().data();
+  storage::Page q = p;
+  EXPECT_EQ(q.bytes().data(), original) << "a copy must not copy the bytes";
+  q[0] = 0xEE;  // copy-on-write: q moves onto its own bytes
+  EXPECT_NE(q.bytes().data(), original);
+  EXPECT_EQ(p.bytes().data(), original);
+  EXPECT_EQ(p, pattern_page(4096, 1));
+  // Now the sole holder, p writes in place.
+  p[1] = 0xDD;
+  EXPECT_EQ(p.bytes().data(), original);
+  EXPECT_EQ(p[1], 0xDD);
+}
+
+TEST(Page, WireFormatMatchesByteVector) {
+  // Persisted images and peers read a Page as a length-prefixed byte
+  // vector: both directions must keep exactly those wire bytes.
+  const auto page = pattern_page(1000, 4);
+  const std::vector<std::uint8_t> raw(page.data(), page.data() + page.size());
+  EXPECT_EQ(oopp::serial::to_bytes(page), oopp::serial::to_bytes(raw));
+  EXPECT_EQ(oopp::serial::from_bytes<storage::Page>(
+                oopp::serial::to_bytes(raw)),
+            page);
+}
+
+TEST(ArrayPage, WrapsAlignedBytesAndRealignsMisalignedOnes) {
+  // The same eight doubles twice: at offset 0, and at an odd offset.
+  constexpr std::size_t kBlock = 8 * sizeof(double), kOdd = kBlock + 1;
+  std::vector<std::byte> buf(kOdd + kBlock);
+  for (std::size_t i = 0; i < 8; ++i) {
+    const double v = double(i) + 0.5;
+    std::memcpy(buf.data() + i * sizeof(double), &v, sizeof(double));
+    std::memcpy(buf.data() + kOdd + i * sizeof(double), &v, sizeof(double));
+  }
+  auto store = std::make_shared<const std::vector<std::byte>>(std::move(buf));
+  const oopp::serial::Bytes aligned(store, 0, kBlock);
+  const oopp::serial::Bytes odd(store, kOdd, kBlock);
+
+  const storage::ArrayPage wrapped(2, 2, 2, aligned);
+  EXPECT_EQ(wrapped.bytes().data(), aligned.data()) << "wrapping copied";
+  const storage::ArrayPage moved(2, 2, 2, odd);
+  EXPECT_EQ(reinterpret_cast<std::uintptr_t>(moved.values()) % alignof(double),
+            0u);
+  EXPECT_DOUBLE_EQ(moved.at(1, 1, 1), 7.5);
+  EXPECT_EQ(moved, wrapped);
+  EXPECT_THROW(storage::ArrayPage(2, 2, 3, aligned), oopp::check_error);
+}
+
+TEST(ArrayPage, DecodeRejectsExtentsThatDoNotMatchBytes) {
+  const storage::ArrayPage page(2, 2, 2);
+  oopp::serial::OArchive oa;
+  oa(static_cast<const storage::Page&>(page), oopp::index_t{3},
+     oopp::index_t{3}, oopp::index_t{3});
+  const auto bad = oa.take();
+  EXPECT_THROW((void)oopp::serial::from_bytes<storage::ArrayPage>(bad),
+               oopp::serial::serial_error);
+  EXPECT_EQ(oopp::serial::from_bytes<storage::ArrayPage>(
+                oopp::serial::to_bytes(page)),
+            page);
 }
 
 TEST(PageDeviceLocal, WriteReadRoundTrip) {
@@ -154,6 +277,45 @@ TEST(PageDeviceRemote, PaperSection2Flow) {
   page_store.destroy();
   EXPECT_THROW(page_store.call<&storage::PageDevice::read>(7),
                oopp::rpc::ObjectNotFound);
+}
+
+// In process a page crosses a remote call as its sender's allocation: the
+// archive splices the bytes, the message carries the slice, the receiver
+// decodes a view.  Same addresses on both sides prove no copy was made.
+TEST(PageDeviceRemote, InProcessCallsMoveNoPageBytes) {
+  Cluster cluster(2);
+  auto holder = cluster.make_remote<PageHolder>(1);
+  const auto page = pattern_page(64 * 1024, 8);
+  const auto addr = reinterpret_cast<std::uintptr_t>(page.bytes().data());
+
+  holder.call<&PageHolder::put>(page);
+  EXPECT_EQ(holder.call<&PageHolder::address>(), addr);
+  const auto back = holder.call<&PageHolder::get>();
+  EXPECT_EQ(reinterpret_cast<std::uintptr_t>(back.bytes().data()), addr);
+  EXPECT_EQ(back, page);
+}
+
+// The storage path itself: read_arrays wraps the bytes read_pages read,
+// the reply splices them, and the in-process client holds blocks whose
+// bytes are the very allocations the device's reads filled.
+TEST(ArrayPageDeviceRemote, BatchedReadReachesClientWithoutCopies) {
+  TempDir tmp;
+  Cluster cluster(2);
+  auto dev = cluster.make_remote<TracingDevice>(1, tmp.file("traced"), 4, 8,
+                                                8, 8);
+  storage::ArrayPage page(8, 8, 8);
+  for (oopp::index_t i = 0; i < page.elements(); ++i)
+    page.values()[i] = double(i);
+  dev.call<&storage::ArrayPageDevice::write_array>(page, 2);
+
+  const auto got = dev.call<&storage::ArrayPageDevice::read_arrays>(
+      std::vector<std::int32_t>{2, 0});
+  const auto addrs = dev.call<&TracingDevice::read_addresses>();
+  ASSERT_EQ(got.size(), 2u);
+  ASSERT_EQ(addrs.size(), 2u);
+  for (std::size_t i = 0; i < got.size(); ++i)
+    EXPECT_EQ(reinterpret_cast<std::uintptr_t>(got[i].values()), addrs[i]);
+  EXPECT_EQ(got[0], page);
 }
 
 TEST(PageDeviceRemote, ErrorsCrossTheWire) {
