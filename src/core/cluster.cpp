@@ -112,8 +112,8 @@ Cluster::Cluster(Options opts) {
     OOPP_CHECK_MSG(opts.local_machine < opts.mesh_endpoints.size(),
                    "local_machine outside the endpoint table");
     local_ = opts.local_machine;
-    fabric_ = std::make_unique<net::TcpMeshFabric>(opts.mesh_endpoints,
-                                                   opts.transport);
+    fabric_ = std::make_unique<net::TcpFabric>(opts.mesh_endpoints,
+                                               opts.transport);
     nodes_.resize(opts.mesh_endpoints.size());
     nodes_[local_] =
         std::make_unique<rpc::Node>(local_, *fabric_, opts.node);

@@ -30,7 +30,7 @@
 #include "net/cost_model.hpp"
 #include "net/fabric.hpp"
 #include "net/fabric_options.hpp"
-#include "net/tcp_mesh_fabric.hpp"
+#include "net/tcp_fabric.hpp"
 #include "rpc/node.hpp"
 #include "storage/replica_options.hpp"
 #include "util/checked_mutex.hpp"
@@ -58,7 +58,6 @@ struct ClusterStats {
       t.objects_destroyed += n.objects_destroyed;
       t.pool_threads += n.pool_threads;
       t.pool_tasks_run += n.pool_tasks_run;
-      t.dispatch_shards += n.dispatch_shards;
       t.queue_depth_hwm = std::max(t.queue_depth_hwm, n.queue_depth_hwm);
       t.pool_busy += n.pool_busy;
     }
@@ -78,11 +77,9 @@ class Cluster {
     FabricKind fabric = FabricKind::kInProc;
     net::CostModel cost = net::CostModel::zero();
     rpc::Node::Options node{};
-    /// The unified transport surface (net/fabric_options.hpp): reactor
-    /// on/off, batching, buffers, connect deadline.  Applies to the TCP
-    /// fabrics (kTcp and mesh deployments); kInProc ignores it — it has
-    /// no sockets.  Replaces the old `batch` field (README migration
-    /// table): `opts.batch = b` becomes `opts.transport.batch = b`.
+    /// The unified transport surface (net/fabric_options.hpp): batching
+    /// and the connect deadline.  Applies to the TCP fabric (kTcp and
+    /// mesh deployments); kInProc ignores it — it has no sockets.
     net::FabricOptions transport{};
     /// Directory for passivated process images.  Empty → a fresh temp
     /// directory owned (and removed) by this Cluster.

@@ -60,18 +60,6 @@ class NameService {
   }
   bool unbind(const std::string& uri) { return map_.erase(uri) > 0; }
 
-  // -- deprecated forwarders (one release; see README migration table) --------
-  [[deprecated("use NameService::bind or the Cluster::persist facade")]]
-  void put(const std::string& uri, const PersistRecord& rec) {
-    bind(uri, rec);
-  }
-  [[deprecated("use NameService::resolve or the Cluster::lookup facade")]]
-  std::optional<PersistRecord> get(const std::string& uri) const {
-    return resolve(uri);
-  }
-  [[deprecated("use NameService::unbind or Cluster::forget")]]
-  bool erase(const std::string& uri) { return unbind(uri); }
-
   /// Mark every record passive.  Used when a registry image from a
   /// previous cluster incarnation is re-activated: the live processes it
   /// refers to died with that cluster, but their checkpoints survive.
@@ -110,14 +98,6 @@ struct oopp::rpc::class_def<oopp::NameService> {
     b.template method<&NS::bind>("bind");
     b.template method<&NS::resolve>("resolve");
     b.template method<&NS::unbind>("unbind");
-    // Wire compatibility for one release: out-of-tree clients may still
-    // issue the old method names; the forwarders keep serving them.
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-    b.template method<&NS::put>("put");
-    b.template method<&NS::get>("get");
-    b.template method<&NS::erase>("erase");
-#pragma GCC diagnostic pop
     b.template method<&NS::mark_all_passive>("mark_all_passive");
     b.template method<&NS::list>("list");
     b.template method<&NS::size>("size");

@@ -44,7 +44,7 @@
 
 namespace oopp::net {
 
-/// Knobs for per-peer send coalescing (Fabric Options / set_batching).
+/// Knobs for per-peer send coalescing (FabricOptions::batch).
 struct BatchOptions {
   /// Off by default: batching trades up to max_delay of latency on a
   /// lone sequential call for syscall amortization on bursts.  Turn it
@@ -58,7 +58,7 @@ struct BatchOptions {
 };
 
 /// Runtime-switchable BatchOptions: senders snapshot with load() on every
-/// send, set_batching stores.  Individually relaxed atomics — a send
+/// send, Fabric::reconfigure stores.  Individually relaxed atomics — a send
 /// racing a reconfigure sees some mix of old and new knobs, which is
 /// harmless (every combination is a valid configuration).
 class AtomicBatchOptions {

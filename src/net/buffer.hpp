@@ -9,9 +9,9 @@
 //     implicit Buffer constructor *adopts* (one move, zero copies), and
 //     to_buffer() keeps the slices an archive spliced (a page's bytes)
 //     as slices of their own;
-//   * a batched receive (wire::FrameReader) reads a whole batch payload
-//     into one shared allocation and hands each sub-frame a Buffer::view
-//     of its range.
+//   * a batched receive (wire::StreamFrameDecoder) reads a whole batch
+//     payload into one shared allocation and hands each sub-frame a
+//     Buffer::view of its range.
 //
 // Copying a Buffer copies slice handles (refcount bumps), never the bytes
 // — which is what makes the retry driver's resend copy, the dedup cache's

@@ -5,8 +5,10 @@
 //  * InProcFabric — machines live in one address space; the fabric applies
 //    an alpha-beta CostModel so communication costs are visible (this is
 //    the default substrate standing in for the paper's physical cluster).
-//  * TcpFabric    — machines exchange frames over real loopback sockets;
-//    every byte genuinely crosses the kernel socket layer.
+//  * TcpFabric    — machines exchange frames over real sockets, read by one
+//    epoll reactor; every cross-machine byte genuinely crosses the kernel
+//    socket layer.  Its endpoint table puts the machines in this process
+//    (loopback) or in separate processes (a mesh deployment).
 //
 // Node code is fabric-agnostic: it only ever consumes its Inbox and calls
 // send().

@@ -14,8 +14,7 @@ namespace oopp::net {
 
 namespace {
 
-/// net.reactor scope: the event loop's own instruments, next to the
-/// legacy "net"/tcp_frames_received counter both read paths feed.
+/// net.reactor scope: the event loop's own instruments.
 struct ReactorMetrics {
   telemetry::Counter& accepts;
   telemetry::Counter& closes;
@@ -42,7 +41,7 @@ struct Reactor::Conn {
   wire::StreamFrameDecoder decoder;
 };
 
-Reactor::Reactor(Options opts) : opts_(opts) {
+Reactor::Reactor() {
   epoll_fd_ = ::epoll_create1(EPOLL_CLOEXEC);
   OOPP_CHECK_MSG(epoll_fd_ >= 0,
                  "epoll_create1 failed: " << std::strerror(errno));
@@ -108,12 +107,6 @@ void Reactor::do_accept(int listen_fd,
       return;  // EAGAIN (drained) or listener closed
     }
     wire::set_nodelay(fd);
-    if (opts_.socket_buffer > 0) {
-      ::setsockopt(fd, SOL_SOCKET, SO_RCVBUF, &opts_.socket_buffer,
-                   sizeof(opts_.socket_buffer));
-      ::setsockopt(fd, SOL_SOCKET, SO_SNDBUF, &opts_.socket_buffer,
-                   sizeof(opts_.socket_buffer));
-    }
     auto conn = std::make_unique<Conn>();
     conn->fd = fd;
     conn->slot = slot;
@@ -133,12 +126,10 @@ void Reactor::do_accept(int listen_fd,
 }
 
 bool Reactor::do_read(Conn& conn) {
-  static auto& legacy_frames =
-      telemetry::Metrics::scope_for("net").counter("tcp_frames_received");
   auto& rm = reactor_metrics();
   // Reused across events: only the reactor thread enters do_read.
   std::vector<std::uint8_t>& buf = read_buf_;
-  if (buf.size() != opts_.read_chunk) buf.assign(opts_.read_chunk, 0);
+  if (buf.empty()) buf.resize(kReadChunk);
   std::vector<Message> ms;
   // Edge-triggered: read until EAGAIN, EOF, or error.
   for (;;) {
@@ -155,7 +146,6 @@ bool Reactor::do_read(Conn& conn) {
       return false;  // malformed stream: drop the connection
     if (ms.empty()) continue;
     rm.frames.add(ms.size());
-    legacy_frames.add(ms.size());
     // Deliver under the slot lock: detach() nulls the inbox under the
     // same lock, so no frame can land in a destroyed Inbox.
     std::lock_guard lock(conn.slot->mu);

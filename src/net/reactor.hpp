@@ -1,10 +1,9 @@
 // Reactor: one epoll thread serving every inbound connection of a fabric.
 //
-// Replaces the thread-per-peer blocking readers of TcpFabric and
-// TcpMeshFabric: listening sockets and accepted connections are
-// nonblocking and edge-triggered; a single thread accepts, reads, and
-// decodes frames (via wire::StreamFrameDecoder, which parses exactly what
-// the blocking FrameReader does — the reactor changes no wire bytes).
+// The TcpFabric's only inbound read path: listening sockets and accepted
+// connections are nonblocking and edge-triggered; a single thread accepts,
+// reads in 64 KiB chunks, and decodes frames with wire::StreamFrameDecoder.
+// Socket buffers stay at the kernel default.
 //
 // Inbound sockets are simplex here: a fabric link is one direction of one
 // (src, dst) pair, written by the sender's own threads under the link
@@ -31,7 +30,7 @@
 namespace oopp::net {
 
 /// The destination inbox of one attached machine, shared between the
-/// reader path (reactor or legacy per-peer threads) and Fabric::detach.
+/// reactor and Fabric::detach.
 struct InboxSlot {
   util::CheckedMutex mu{"net.InboxSlot"};
   Inbox* inbox = nullptr;
@@ -39,12 +38,7 @@ struct InboxSlot {
 
 class Reactor {
  public:
-  struct Options {
-    std::size_t read_chunk = 64 * 1024;
-    int socket_buffer = 0;  // SO_RCVBUF/SO_SNDBUF; 0 = kernel default
-  };
-
-  explicit Reactor(Options opts);
+  Reactor();
   ~Reactor();
 
   Reactor(const Reactor&) = delete;
@@ -72,7 +66,9 @@ class Reactor {
   void close_conn(int fd);
   void wake();
 
-  Options opts_;
+  /// Bytes pulled per read() syscall while a connection is readable.
+  static constexpr std::size_t kReadChunk = 64 * 1024;
+
   std::vector<std::uint8_t> read_buf_;  // reactor-thread only
   int epoll_fd_ = -1;
   int wake_fd_ = -1;  // eventfd: nudges epoll_wait for stop()

@@ -1,12 +1,52 @@
 #include "net/tcp_fabric.hpp"
 
+#include <netdb.h>
+
+#include <chrono>
 #include <cstring>
-#include <stdexcept>
+#include <fstream>
+#include <sstream>
+#include <thread>
 
 #include "net/tcp_wire.hpp"
 #include "util/assert.hpp"
+#include "util/clock.hpp"
 
 namespace oopp::net {
+
+namespace {
+
+std::uint64_t link_key(MachineId src, MachineId dst) {
+  return (static_cast<std::uint64_t>(src) << 32) | dst;
+}
+
+/// Resolve `ep` and connect, redialing until `patience` runs out; returns
+/// the connected fd, or -1 if the peer never accepted.
+int dial(const Endpoint& ep, std::chrono::milliseconds patience) {
+  addrinfo hints{};
+  hints.ai_family = AF_INET;
+  hints.ai_socktype = SOCK_STREAM;
+  addrinfo* res = nullptr;
+  const std::string port = std::to_string(ep.port);
+  OOPP_CHECK_MSG(
+      ::getaddrinfo(ep.host.c_str(), port.c_str(), &hints, &res) == 0,
+      "cannot resolve " << ep.host);
+  const auto deadline = steady_clock::now() + patience;
+  int fd = -1;
+  for (;;) {
+    fd = ::socket(res->ai_family, res->ai_socktype, res->ai_protocol);
+    OOPP_CHECK_MSG(fd >= 0, "socket() failed: " << std::strerror(errno));
+    if (::connect(fd, res->ai_addr, res->ai_addrlen) == 0) break;
+    ::close(fd);
+    fd = -1;
+    if (steady_clock::now() >= deadline) break;
+    std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  }
+  ::freeaddrinfo(res);
+  return fd;
+}
+
+}  // namespace
 
 struct TcpFabric::Link {
   util::CheckedMutex mu{"net.TcpFabric.link"};
@@ -17,131 +57,52 @@ struct TcpFabric::Link {
   }
 };
 
-struct TcpFabric::Endpoint {
-  int listen_fd = -1;
-  std::uint16_t port = 0;
-  // Shared with whichever reader path serves this endpoint; detach() nulls
-  // slot->inbox under slot->mu so no frame lands in a destroyed Inbox.
-  std::shared_ptr<InboxSlot> slot = std::make_shared<InboxSlot>();
-  // Legacy (reactor=false) path: this endpoint owns and joins its
-  // acceptor/reader threads in stop().
-  std::thread acceptor;  // oopp-lint: allow(raw-thread-primitive)
-  util::CheckedMutex readers_mu{"net.TcpFabric.readers"};
-  std::vector<std::thread> readers;  // oopp-lint: allow(raw-thread-primitive)
-  std::vector<int> reader_fds;
-
-  ~Endpoint() { stop(); }
-
-  void stop() {
-    if (listen_fd >= 0) {
-      ::shutdown(listen_fd, SHUT_RDWR);
-      ::close(listen_fd);
-      listen_fd = -1;
-    }
-    if (acceptor.joinable()) acceptor.join();
-    {
-      std::lock_guard lock(readers_mu);
-      for (int fd : reader_fds) ::shutdown(fd, SHUT_RDWR);
-    }
-    std::vector<std::thread> rs;  // oopp-lint: allow(raw-thread-primitive)
-    {
-      std::lock_guard lock(readers_mu);
-      rs.swap(readers);
-    }
-    for (auto& t : rs)
-      if (t.joinable()) t.join();
-    {
-      std::lock_guard lock(readers_mu);
-      for (int fd : reader_fds) ::close(fd);
-      reader_fds.clear();
-    }
-  }
-
-  void listen_on_ephemeral() {
-    listen_fd = ::socket(AF_INET, SOCK_STREAM, 0);
-    OOPP_CHECK_MSG(listen_fd >= 0, "socket() failed: " << std::strerror(errno));
-    int one = 1;
-    ::setsockopt(listen_fd, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
-    sockaddr_in addr{};
-    addr.sin_family = AF_INET;
-    addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-    addr.sin_port = 0;
-    OOPP_CHECK_MSG(::bind(listen_fd, reinterpret_cast<sockaddr*>(&addr),
-                          sizeof(addr)) == 0,
-                   "bind() failed: " << std::strerror(errno));
-    OOPP_CHECK(::listen(listen_fd, 64) == 0);
-    socklen_t len = sizeof(addr);
-    OOPP_CHECK(::getsockname(listen_fd, reinterpret_cast<sockaddr*>(&addr),
-                             &len) == 0);
-    port = ntohs(addr.sin_port);
-  }
-
-  void start_accepting() {
-    // The acceptor works on a by-value copy of the listen fd: stop()
-    // writes listen_fd = -1 concurrently, and the thread never needs to
-    // observe that (closing the fd is what unblocks accept()).
-    const int lfd = listen_fd;
-    // oopp-lint: allow(raw-thread-primitive) — joined via stop().
-    acceptor = std::thread([this, lfd] {
-      for (;;) {
-        const int fd = ::accept(lfd, nullptr, nullptr);
-        if (fd < 0) return;  // listener closed: shut down
-        wire::set_nodelay(fd);
-        std::lock_guard lock(readers_mu);
-        reader_fds.push_back(fd);
-        readers.emplace_back([this, fd] { read_loop(fd); });
-      }
-    });
-  }
-
-  void read_loop(int fd) {
-    static auto& frames =
-        telemetry::Metrics::scope_for("net").counter("tcp_frames_received");
-    wire::FrameReader reader(fd);
-    std::vector<Message> ms;
-    while (reader.next_batch(ms)) {
-      frames.add(ms.size());
-      // After detach() the machine is gone but peers may still be
-      // sending: keep reading so their writes don't block, drop frames.
-      std::lock_guard lock(slot->mu);
-      if (slot->inbox != nullptr) slot->inbox->push_all(std::move(ms));
-    }
-  }
-};
-
-TcpFabric::TcpFabric(std::size_t machines, FabricOptions opts)
-    : opts_(opts), batch_opts_(opts.batch) {
-  endpoints_.reserve(machines);
-  for (std::size_t i = 0; i < machines; ++i)
-    endpoints_.push_back(std::make_unique<Endpoint>());
-  if (opts_.reactor)
-    reactor_ = std::make_unique<Reactor>(Reactor::Options{
-        .read_chunk = opts_.read_chunk, .socket_buffer = opts_.socket_buffer});
+TcpFabric::TcpFabric(std::vector<Endpoint> endpoints, FabricOptions opts)
+    : opts_(opts),
+      endpoints_(std::move(endpoints)),
+      listeners_(endpoints_.size()),
+      batch_opts_(opts.batch) {
+  OOPP_CHECK_MSG(!endpoints_.empty(), "empty endpoint table");
 }
 
 TcpFabric::~TcpFabric() { shutdown(); }
 
 void TcpFabric::attach(MachineId id, Inbox* inbox) {
   OOPP_CHECK(id < endpoints_.size());
-  Endpoint& ep = *endpoints_[id];
+  Listener& l = listeners_[id];
+  OOPP_CHECK_MSG(l.fd < 0, "machine " << id << " attached twice");
   {
-    std::lock_guard lock(ep.slot->mu);
-    ep.slot->inbox = inbox;
+    std::lock_guard lock(l.slot->mu);
+    l.slot->inbox = inbox;
   }
-  ep.listen_on_ephemeral();
-  if (reactor_) {
-    wire::set_nonblocking(ep.listen_fd);
-    reactor_->add_listener(ep.listen_fd, ep.slot);
-  } else {
-    ep.start_accepting();
-  }
+
+  // Port 0 is a single-process machine: an ephemeral loopback port.  A
+  // configured port is a deployment endpoint, reachable on any address.
+  Endpoint& ep = endpoints_[id];
+  l.fd = ::socket(AF_INET, SOCK_STREAM | SOCK_NONBLOCK, 0);
+  OOPP_CHECK_MSG(l.fd >= 0, "socket() failed: " << std::strerror(errno));
+  int one = 1;
+  ::setsockopt(l.fd, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_addr.s_addr = htonl(ep.port == 0 ? INADDR_LOOPBACK : INADDR_ANY);
+  addr.sin_port = htons(ep.port);
+  OOPP_CHECK_MSG(
+      ::bind(l.fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) == 0,
+      "bind to port " << ep.port << " failed: " << std::strerror(errno));
+  OOPP_CHECK(::listen(l.fd, 64) == 0);
+  socklen_t len = sizeof(addr);
+  OOPP_CHECK(
+      ::getsockname(l.fd, reinterpret_cast<sockaddr*>(&addr), &len) == 0);
+  ep.port = ntohs(addr.sin_port);
+  reactor_.add_listener(l.fd, l.slot);
 }
 
 void TcpFabric::detach(MachineId id) {
-  if (id >= endpoints_.size()) return;
-  auto& slot = endpoints_[id]->slot;
-  std::lock_guard lock(slot->mu);
-  slot->inbox = nullptr;
+  if (id >= listeners_.size()) return;
+  InboxSlot& slot = *listeners_[id].slot;
+  std::lock_guard lock(slot.mu);
+  slot.inbox = nullptr;
 }
 
 void TcpFabric::reconfigure(const FabricOptions& opts) {
@@ -150,47 +111,61 @@ void TcpFabric::reconfigure(const FabricOptions& opts) {
 
 std::uint16_t TcpFabric::port(MachineId id) const {
   OOPP_CHECK(id < endpoints_.size());
-  return endpoints_[id]->port;
+  return endpoints_[id].port;
 }
 
 TcpFabric::Link& TcpFabric::link_for(MachineId src, MachineId dst) {
-  const std::uint64_t key = (static_cast<std::uint64_t>(src) << 32) | dst;
-  std::lock_guard lock(links_mu_);
-  auto it = links_.find(key);
-  if (it != links_.end()) return *it->second;
+  const std::uint64_t key = link_key(src, dst);
+  {
+    std::lock_guard lock(links_mu_);
+    auto it = links_.find(key);
+    if (it != links_.end()) return *it->second;
+  }
 
-  auto link = std::make_unique<Link>();
-  link->fd = ::socket(AF_INET, SOCK_STREAM, 0);
-  OOPP_CHECK_MSG(link->fd >= 0, "socket() failed: " << std::strerror(errno));
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-  addr.sin_port = htons(endpoints_[dst]->port);
-  OOPP_CHECK_MSG(::connect(link->fd, reinterpret_cast<sockaddr*>(&addr),
-                           sizeof(addr)) == 0,
-                 "connect to machine " << dst
-                                       << " failed: " << std::strerror(errno));
-  wire::set_nodelay(link->fd);
-  auto [pos, inserted] = links_.emplace(key, std::move(link));
-  OOPP_CHECK(inserted);
-  return *pos->second;
+  // Dial outside the lock: a peer process that is not up yet keeps this
+  // thread redialing for up to connect_deadline.
+  const Endpoint& ep = endpoints_[dst];
+  const int fd = dial(ep, opts_.connect_deadline);
+  OOPP_CHECK_MSG(fd >= 0, "cannot connect to machine "
+                              << dst << " at " << ep.host << ":" << ep.port);
+  wire::set_nodelay(fd);
+
+  std::lock_guard lock(links_mu_);
+  std::unique_ptr<Link>& link = links_[key];
+  if (link) {
+    ::close(fd);  // lost a dial race: keep the established link
+    return *link;
+  }
+  link = std::make_unique<Link>();
+  link->fd = fd;
+  return *link;
 }
 
 void TcpFabric::send(Message m) {
-  OOPP_CHECK_MSG(m.header.dst < endpoints_.size(),
-                 "send to unknown machine " << m.header.dst);
+  const MachineId src = m.header.src;
+  const MachineId dst = m.header.dst;
+  OOPP_CHECK_MSG(dst < endpoints_.size(), "send to unknown machine " << dst);
   account(m);
-  const std::uint64_t key =
-      (static_cast<std::uint64_t>(m.header.src) << 32) | m.header.dst;
+
+  if (dst == src) {
+    // Loopback without touching the kernel — never batched: there is no
+    // syscall to amortize, and delaying it would only add latency.
+    InboxSlot& slot = *listeners_[dst].slot;
+    std::lock_guard lock(slot.mu);
+    if (slot.inbox != nullptr) slot.inbox->push_now(std::move(m));
+    return;
+  }
+
   const BatchOptions bo = batch_opts_.load();
-  Link& link = link_for(m.header.src, m.header.dst);
+  Link& link = link_for(src, dst);
 
   if (!bo.enabled) {
     std::lock_guard lock(link.mu);
     // Drain leftovers from when batching was on (runtime switch-off).
     OOPP_CHECK_MSG(link.batch.flush(link.fd, FlushTrigger::kDrain),
-                   "frame write failed");
-    OOPP_CHECK_MSG(wire::send_framev(link.fd, m), "frame write failed");
+                   "frame write to machine " << dst << " failed");
+    OOPP_CHECK_MSG(wire::send_framev(link.fd, m),
+                   "frame write to machine " << dst << " failed");
     return;
   }
 
@@ -202,12 +177,12 @@ void TcpFabric::send(Message m) {
     deadline = link.batch.deadline;
     if (link.batch.due_for_size_flush(bo)) {
       OOPP_CHECK_MSG(link.batch.flush(link.fd, FlushTrigger::kSize),
-                     "frame write failed");
+                     "frame write to machine " << dst << " failed");
       arm = false;
     }
   }
   // The flusher registry lock is only ever taken with no link lock held.
-  if (arm) flusher_.schedule(key, deadline);
+  if (arm) flusher_.schedule(link_key(src, dst), deadline);
 }
 
 void TcpFabric::flush_link(std::uint64_t key) {
@@ -221,7 +196,8 @@ void TcpFabric::flush_link(std::uint64_t key) {
     if (link.batch.empty()) return;
     if (link.batch.deadline <= steady_clock::now()) {
       OOPP_CHECK_MSG(link.batch.flush(link.fd, FlushTrigger::kDeadline),
-                     "frame write failed");
+                     "frame write to machine "
+                         << static_cast<MachineId>(key) << " failed");
       return;
     }
     // A size flush emptied the queue and a younger batch started since
@@ -241,12 +217,38 @@ void TcpFabric::shutdown() {
       std::lock_guard link_lock(link->mu);
       (void)link->batch.flush(link->fd, FlushTrigger::kDrain);
     }
-    links_.clear();  // closes outgoing sockets; peers' readers exit on EOF
+    links_.clear();  // closes outgoing sockets; peers' reactors see EOF
   }
   // Listening fds close before the reactor stops, so no accept races the
   // teardown; accepted fds are owned and closed by the reactor itself.
-  for (auto& ep : endpoints_) ep->stop();
-  if (reactor_) reactor_->stop();
+  for (Listener& l : listeners_) {
+    if (l.fd < 0) continue;
+    ::shutdown(l.fd, SHUT_RDWR);
+    ::close(l.fd);
+    l.fd = -1;
+  }
+  reactor_.stop();
+}
+
+std::vector<Endpoint> load_endpoints(const std::string& path) {
+  std::ifstream in(path);
+  OOPP_CHECK_MSG(in.good(), "cannot open endpoints file " << path);
+  std::vector<Endpoint> out;
+  std::string line;
+  while (std::getline(in, line)) {
+    const auto hash = line.find('#');
+    if (hash != std::string::npos) line.resize(hash);
+    std::istringstream ls(line);
+    Endpoint ep;
+    unsigned port = 0;
+    if (ls >> ep.host >> port) {
+      OOPP_CHECK_MSG(port > 0 && port < 65536, "bad port in " << path);
+      ep.port = static_cast<std::uint16_t>(port);
+      out.push_back(std::move(ep));
+    }
+  }
+  OOPP_CHECK_MSG(!out.empty(), "no endpoints in " << path);
+  return out;
 }
 
 }  // namespace oopp::net

@@ -1,26 +1,31 @@
-// TCP fabric: machines exchange frames over real loopback sockets.
+// TCP fabric: machines exchange frames over real sockets.
 //
-// Each attached machine gets a listening socket on 127.0.0.1 with an
-// ephemeral port.  Outgoing links are established lazily on first send and
-// cached per (src, dst) pair; a per-link mutex keeps frames atomic on the
-// socket.
+// The fabric is built on an endpoint table: one host and port per machine
+// id.  Two constructors fill it:
 //
-// Inbound connections are served, by default, by one epoll reactor thread
-// shared across every endpoint of the fabric (net/reactor.hpp); setting
-// FabricOptions::reactor = false restores the historical thread-per-peer
-// blocking readers for comparison.  Both paths decode the identical wire
-// stream.
+//  * TcpFabric(machines) — every machine lives in this process; each one
+//    listens on 127.0.0.1 with an ephemeral port chosen at attach().
+//  * TcpFabric(endpoints) — the deployment table every process of a
+//    multi-process cluster shares (Cluster's mesh mode, oopp_noded);
+//    attach() binds the machine's configured port on any address.
 //
-// This fabric exists to show that the runtime's semantics do not depend on
-// shared memory: every remote method really crosses the kernel socket
-// layer, byte for byte, like the MPI substrate in the paper's own
-// experiments.
+// Everything else is one code path.  One epoll reactor thread
+// (net/reactor.hpp) serves the inbound connections of every attached
+// machine.  Outgoing links are dialed lazily on first send — resolve the
+// peer, then redial until FabricOptions::connect_deadline, since the
+// processes of one cluster may start in any order — and cached per
+// (src, dst) pair; a per-link mutex keeps frames atomic on the socket and
+// guards the link's BatchQueue.
+//
+// A message a machine sends to itself goes straight to its inbox.  Every
+// cross-machine message really crosses the kernel socket layer, byte for
+// byte, like the MPI substrate in the paper's own experiments: the
+// runtime's semantics do not depend on shared memory.
 #pragma once
 
 #include <cstdint>
 #include <memory>
-#include <mutex>
-#include <thread>
+#include <string>
 #include <unordered_map>
 #include <vector>
 
@@ -32,18 +37,28 @@
 
 namespace oopp::net {
 
+/// Where one machine listens.  Port 0 asks for an ephemeral loopback port,
+/// chosen when the machine attaches.
+struct Endpoint {
+  std::string host = "127.0.0.1";
+  std::uint16_t port = 0;
+};
+
+/// Parse an endpoints file: one "host port" pair per line, machine id =
+/// line number; '#' starts a comment.
+std::vector<Endpoint> load_endpoints(const std::string& path);
+
 class TcpFabric final : public Fabric {
  public:
-  /// Transport knobs moved to the fabric-agnostic net::FabricOptions;
-  /// designated initializers like `TcpFabric::Options{.batch = b}` keep
-  /// compiling through this alias during the migration (README table).
-  using Options [[deprecated("use net::FabricOptions")]] = FabricOptions;
-
   explicit TcpFabric(std::size_t machines)
       : TcpFabric(machines, FabricOptions{}) {}
-  TcpFabric(std::size_t machines, FabricOptions opts);
+  TcpFabric(std::size_t machines, FabricOptions opts)
+      : TcpFabric(std::vector<Endpoint>(machines), opts) {}
+  TcpFabric(std::vector<Endpoint> endpoints, FabricOptions opts);
   ~TcpFabric() override;
 
+  /// Bind and listen on machine `id`'s endpoint.  A process attaches the
+  /// machines it hosts: all of them, or one per process in a deployment.
   void attach(MachineId id, Inbox* inbox) override;
   void detach(MachineId id) override;
   void send(Message m) override;
@@ -57,29 +72,26 @@ class TcpFabric final : public Fabric {
     return o;
   }
 
-  [[deprecated("use reconfigure() with net::FabricOptions")]] void
-  set_batching(const BatchOptions& batch) {
-    batch_opts_.store(batch);
-  }
-  [[deprecated("use options().batch")]] [[nodiscard]] BatchOptions batching()
-      const {
-    return batch_opts_.load();
-  }
-
-  /// Port the given machine listens on (for tests).
+  /// Port the given machine listens on (known once it has attached).
   [[nodiscard]] std::uint16_t port(MachineId id) const;
 
  private:
-  struct Endpoint;  // listener (+ legacy accept/reader threads) per machine
-  struct Link;      // cached outgoing connection for one (src, dst) pair
+  struct Listener {
+    int fd = -1;
+    // Shared with the reactor; detach() nulls slot->inbox under slot->mu
+    // so no frame lands in a destroyed Inbox.
+    std::shared_ptr<InboxSlot> slot = std::make_shared<InboxSlot>();
+  };
+  struct Link;  // cached outgoing connection for one (src, dst) pair
 
   Link& link_for(MachineId src, MachineId dst);
   /// Deadline-flush callback (runs on the flusher thread).
   void flush_link(std::uint64_t key);
 
   FabricOptions opts_;  // construction-time snapshot (batch lives below)
-  std::vector<std::unique_ptr<Endpoint>> endpoints_;
-  std::unique_ptr<Reactor> reactor_;  // present iff opts_.reactor
+  std::vector<Endpoint> endpoints_;  // ephemeral ports filled in by attach()
+  std::vector<Listener> listeners_;
+  Reactor reactor_;
   util::CheckedMutex links_mu_{"net.TcpFabric.links"};
   std::unordered_map<std::uint64_t, std::unique_ptr<Link>> links_;
   bool down_ = false;

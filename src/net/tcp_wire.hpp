@@ -1,10 +1,8 @@
-// Shared TCP framing and socket helpers for TcpFabric (single-process
-// loopback mesh) and TcpMeshFabric (multi-process deployment).  Internal
+// TCP framing and socket helpers for TcpFabric and its reactor.  Internal
 // header.
 #pragma once
 
 #include <arpa/inet.h>
-#include <fcntl.h>
 #include <netinet/in.h>
 #include <netinet/tcp.h>
 #include <sys/socket.h>
@@ -155,28 +153,9 @@ inline bool write_all(int fd, const void* data, std::size_t n) {
   return true;
 }
 
-inline bool read_all(int fd, void* data, std::size_t n) {
-  auto* p = static_cast<std::uint8_t*>(data);
-  while (n > 0) {
-    const ssize_t r = ::read(fd, p, n);
-    if (r <= 0) {
-      if (r < 0 && errno == EINTR) continue;
-      return false;
-    }
-    p += r;
-    n -= static_cast<std::size_t>(r);
-  }
-  return true;
-}
-
 inline void set_nodelay(int fd) {
   int one = 1;
   ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
-}
-
-inline void set_nonblocking(int fd) {
-  const int flags = ::fcntl(fd, F_GETFL, 0);
-  ::fcntl(fd, F_SETFL, flags | O_NONBLOCK);
 }
 
 /// Gather-write every iovec fully, handling partial writes, EINTR, and
@@ -210,7 +189,9 @@ inline bool writev_all(int fd, struct iovec* iov, std::size_t cnt) {
   return true;
 }
 
-/// Send one framed message; returns false on socket failure.
+/// Send one framed message; returns false on socket failure.  The fabric
+/// sends with send_framev; this flat encoding is the reference the wire
+/// codec tests hold it to, byte for byte.
 inline bool send_frame(int fd, const Message& m) {
   std::uint8_t hdr[kMaxFrameHeaderSize];
   const std::size_t hlen = encode_header(m.header, m.payload.size(), hdr);
@@ -328,9 +309,6 @@ inline bool send_batch(int fd, const Message* frames, std::size_t n) {
 /// Split a filled batch payload (everything after the batch header) into
 /// `count` messages whose payloads are zero-copy views of the shared
 /// store.  Returns false on a malformed or truncated sub-frame sequence.
-/// The one batch-splitting routine — FrameReader (blocking reads) and
-/// StreamFrameDecoder (reactor) both go through it, so the two inbound
-/// paths cannot diverge.
 inline bool split_batch(
     const std::shared_ptr<const std::vector<std::byte>>& store,
     std::uint32_t count, std::uint64_t payload_len,
@@ -354,120 +332,18 @@ inline bool split_batch(
   return off == payload_len;
 }
 
-/// Receive one framed message; returns false on EOF/socket failure.
-/// Pre-batching codec, kept for frame-level tests; fabric read loops use
-/// FrameReader, which additionally understands batch frames.
-inline bool recv_frame(int fd, Message& m) {
-  std::uint8_t hdr[kFrameHeaderSize];
-  if (!read_all(fd, hdr, sizeof(hdr))) return false;
-  std::uint64_t payload_len = 0;
-  if (decode_fixed_header(hdr, m.header, payload_len)) {
-    std::uint8_t ext[1 + 4 * kMaxHeldClasses];
-    if (!read_all(fd, ext, 1)) return false;
-    if (ext[0] == 0 || ext[0] > kMaxHeldClasses) return false;
-    if (!read_all(fd, ext + 1, 4 * std::size_t{ext[0]})) return false;
-    if (decode_held_ext(ext, sizeof(ext), m.header.held) == 0) return false;
-  }
-  std::vector<std::byte> payload(payload_len);
-  if (payload_len > 0 && !read_all(fd, payload.data(), payload_len))
-    return false;
-  m.payload = Buffer(std::move(payload));
-  return true;
-}
-
-/// Batch-aware frame receiver for one connection.  Peeks the first byte
-/// of each wire unit: an ordinary frame is read as before; a batch frame
-/// is pulled into one shared allocation and split into per-message
-/// Buffer views (zero-copy).  One FrameReader per socket, single reader
-/// thread — no internal locking.
-class FrameReader {
- public:
-  explicit FrameReader(int fd) : fd_(fd) {}
-
-  /// All messages of the next wire unit (1 for a plain frame, the full
-  /// sub-frame sequence for a batch), replacing `out`'s contents.
-  /// Returns false on EOF, socket failure, or a malformed batch header.
-  bool next_batch(std::vector<Message>& out) {
-    out.clear();
-    if (pos_ < buffered_.size()) {
-      out.assign(std::make_move_iterator(buffered_.begin() +
-                                         static_cast<std::ptrdiff_t>(pos_)),
-                 std::make_move_iterator(buffered_.end()));
-      buffered_.clear();
-      pos_ = 0;
-      return true;
-    }
-    return fill(out);
-  }
-
-  /// One message at a time (batch sub-frames are handed out in order).
-  bool next(Message& m) {
-    if (pos_ >= buffered_.size()) {
-      buffered_.clear();
-      pos_ = 0;
-      if (!fill(buffered_)) return false;
-    }
-    m = std::move(buffered_[pos_++]);
-    return true;
-  }
-
- private:
-  /// Read one wire unit into `out`.
-  bool fill(std::vector<Message>& out) {
-    std::uint8_t first = 0;
-    if (!read_all(fd_, &first, 1)) return false;
-    if (first != kBatchMagic) {
-      std::uint8_t hdr[kFrameHeaderSize];
-      hdr[0] = first;
-      if (!read_all(fd_, hdr + 1, kFrameHeaderSize - 1)) return false;
-      std::uint64_t payload_len = 0;
-      Message m;
-      if (decode_fixed_header(hdr, m.header, payload_len)) {
-        std::uint8_t ext[1 + 4 * kMaxHeldClasses];
-        if (!read_all(fd_, ext, 1)) return false;
-        if (ext[0] == 0 || ext[0] > kMaxHeldClasses) return false;
-        if (!read_all(fd_, ext + 1, 4 * std::size_t{ext[0]})) return false;
-        if (decode_held_ext(ext, sizeof(ext), m.header.held) == 0)
-          return false;
-      }
-      std::vector<std::byte> payload(payload_len);
-      if (payload_len > 0 && !read_all(fd_, payload.data(), payload_len))
-        return false;
-      m.payload = Buffer(std::move(payload));
-      out.push_back(std::move(m));
-      return true;
-    }
-
-    std::uint8_t bhdr[kBatchHeaderSize];
-    bhdr[0] = first;
-    if (!read_all(fd_, bhdr + 1, kBatchHeaderSize - 1)) return false;
-    std::uint32_t count = 0;
-    std::uint64_t payload_len = 0;
-    if (!decode_batch_header(bhdr, count, payload_len)) return false;
-    auto store = std::make_shared<std::vector<std::byte>>(payload_len);
-    // The store becomes shared and const once filled; read into it first.
-    if (!read_all(fd_, store->data(), payload_len)) return false;
-    return split_batch(std::move(store), count, payload_len, out);
-  }
-
-  int fd_;
-  std::vector<Message> buffered_;
-  std::size_t pos_ = 0;
-};
-
-/// Incremental frame decoder for nonblocking sockets: the reactor's
-/// counterpart of FrameReader.  Bytes arrive in arbitrary read()-sized
-/// chunks; feed() consumes them and appends every completed message to
-/// the caller's vector.  Parses exactly the wire units FrameReader does —
-/// plain frames, the held-locks header extension, and 0xB5 batch frames
-/// (split zero-copy through the shared split_batch routine) — so the
-/// reactor changes no wire bytes.  One decoder per connection, driven by
-/// a single reactor thread: no internal locking.
+/// Incremental frame decoder for nonblocking sockets: the one inbound
+/// parser.  Bytes arrive in arbitrary read()-sized chunks; feed() consumes
+/// them and appends every completed message to the caller's vector.
+/// Parses every wire unit the senders emit — plain frames, the held-locks
+/// header extension, and 0xB5 batch frames (split zero-copy through
+/// split_batch).  One decoder per connection, driven by a single reactor
+/// thread: no internal locking.
 class StreamFrameDecoder {
  public:
   /// Consume `n` bytes of stream.  Returns false on a malformed stream
   /// (bad batch header, bad held-locks extension); the connection must
-  /// then be dropped, exactly as FrameReader's fill() failure does.
+  /// then be dropped.
   bool feed(const std::uint8_t* data, std::size_t n,
             std::vector<Message>& out) {
     while (n > 0 || ready()) {

@@ -79,22 +79,27 @@ BreakerMetrics& breaker_metrics() {
   return m;
 }
 
-/// rpc.dispatch scope: the N:M routing layer between the receiver thread
-/// and the worker pool (docs/DISPATCH.md).
+/// rpc.dispatch scope: the receiver thread routing requests onto object
+/// queues and pool tasks (docs/DISPATCH.md).
 struct DispatchMetrics {
-  telemetry::Counter& routed;             // requests routed to a shard
+  telemetry::Counter& routed;             // requests the receiver routed
   telemetry::Counter& queue_full_rejects; // bounded object queues refusing
-  telemetry::Histogram& shard_depth;      // shard queue depth at enqueue
 };
 
 DispatchMetrics& dispatch_metrics() {
   static DispatchMetrics m = [] {
     auto& s = telemetry::Metrics::scope_for("rpc.dispatch");
     return DispatchMetrics{s.counter("routed"),
-                           s.counter("queue_full_rejects"),
-                           s.histogram("shard_depth")};
+                           s.counter("queue_full_rejects")};
   }();
   return m;
+}
+
+/// Control verbs that only append to their target object's command queue.
+bool queues_on_target(net::MethodId method) {
+  static const net::MethodId kDestroy = net::method_id(kDestroyMethod);
+  static const net::MethodId kPassivate = net::method_id(kPassivateMethod);
+  return method == kDestroy || method == kPassivate;
 }
 
 /// Lock-free high-water update (queue depth statistics).
@@ -117,13 +122,9 @@ Node::Node(net::MachineId id, net::Fabric& fabric, Options opts)
       fabric_(fabric),
       pool_(ElasticPool::Options{.min_threads = opts.dispatch.workers,
                                  .max_threads = opts.dispatch.max_workers}),
-      objects_(opts.dispatch.shards),
       default_policy_(opts.default_policy) {
   has_default_policy_.store(default_policy_.retryable(),
                             std::memory_order_relaxed);
-  dispatch_shards_.reserve(objects_.shard_count());
-  for (std::size_t i = 0; i < objects_.shard_count(); ++i)
-    dispatch_shards_.push_back(std::make_unique<DispatchShard>());
 }
 
 bool Node::payload_intact(const net::Message& m) const {
@@ -200,6 +201,7 @@ void Node::wait_for_shutdown_request() {
 }
 
 void Node::receive_loop() {
+  ContextGuard guard(this);
   while (auto msg = inbox_.pop()) {
     if (!payload_intact(*msg)) {
       if (msg->header.kind == net::MsgKind::kRequest) {
@@ -227,61 +229,8 @@ void Node::receive_loop() {
       // so a servant blocked on a nested call always gets its reply.
       on_response(std::move(*msg));
     } else {
-      route_request(std::move(*msg));
+      on_request(std::move(*msg));
     }
-  }
-}
-
-void Node::route_request(net::Message req) {
-  // N:M dispatch stage 1 (docs/DISPATCH.md): the receiver thread only
-  // appends to the target shard's FIFO — the ordering chain is inbox FIFO
-  // -> shard FIFO -> object command queue FIFO, so two requests for one
-  // object can never reorder, while requests for objects in different
-  // shards are dispatched concurrently.
-  const std::size_t shard = objects_.shard_of(req.header.object);
-  DispatchShard& ds = *dispatch_shards_[shard];
-  bool kick = false;
-  std::size_t depth = 0;
-  {
-    std::lock_guard lock(ds.mu);
-    ds.q.push_back(std::move(req));
-    depth = ds.q.size();
-    if (!ds.draining) {
-      ds.draining = true;
-      kick = true;
-    }
-  }
-  note_depth(queue_depth_hwm_, depth);
-  auto& dm = dispatch_metrics();
-  dm.routed.add(1);
-  if (telemetry::enabled()) dm.shard_depth.record(depth);
-  if (!kick) return;
-  if (!pool_.try_submit([this, shard] { drain_shard(shard); })) {
-    // Pool already shut down: the node is tearing down, and fail_pending
-    // has settled (or will settle) every caller-side future.
-    std::lock_guard lock(ds.mu);
-    ds.draining = false;
-  }
-}
-
-void Node::drain_shard(std::size_t shard) {
-  ContextGuard guard(this);
-  DispatchShard& ds = *dispatch_shards_[shard];
-  // One drain task per shard at a time; on_request never blocks on
-  // servant work (executions go to object queues or their own pool
-  // tasks), so a shard cannot stall its siblings.
-  for (;;) {
-    net::Message req;
-    {
-      std::lock_guard lock(ds.mu);
-      if (ds.q.empty()) {
-        ds.draining = false;
-        return;
-      }
-      req = std::move(ds.q.front());
-      ds.q.pop_front();
-    }
-    on_request(std::move(req));
   }
 }
 
@@ -337,18 +286,29 @@ void Node::on_response(net::Message resp) {
 }
 
 void Node::on_request(net::Message req) {
-  // Runs on a shard drain task (stage 2 of the N:M dispatch).  Everything
-  // here is quick and non-blocking: servant executions go to object
-  // command queues or their own pool tasks — a control or reentrant
-  // handler making a nested blocking call must never occupy the drain
-  // task that would deliver requests for its own shard.
+  // Runs on the receiver thread, so requests are routed in arrival order —
+  // on one link, that is issue order.  Everything here is quick and
+  // non-blocking: servant executions go to object command queues or their
+  // own pool tasks, so a handler making a nested blocking call never stalls
+  // delivery of the response it waits for.
+  dispatch_metrics().routed.add(1);
   if (dedup_intercept(req)) return;
   if (req.header.object == net::kNodeObject) {
-    const bool ok = pool_.try_submit([this, req = std::move(req)]() mutable {
+    // destroy and passivate only append to the target's command queue:
+    // routing them here keeps their place in that object's issue order
+    // (paper §2 — the destructor runs after the commands issued before
+    // it).  spawn and restore run user constructors, so they and the other
+    // control verbs get a pool task.
+    if (queues_on_target(req.header.method)) {
+      handle_control(req);
+      return;
+    }
+    // A refused submit is the teardown race: futures settle via
+    // fail_pending.
+    (void)pool_.try_submit([this, req = std::move(req)]() mutable {
       ContextGuard guard(this);
       handle_control(req);
     });
-    if (!ok) return;  // teardown race: futures settle via fail_pending
     return;
   }
 
@@ -540,7 +500,6 @@ NodeStats Node::stats() const {
   s.objects_destroyed = objects_destroyed_.load(std::memory_order_relaxed);
   s.pool_threads = pool_.thread_count();
   s.pool_tasks_run = pool_.tasks_run();
-  s.dispatch_shards = objects_.shard_count();
   s.queue_depth_hwm = queue_depth_hwm_.load(std::memory_order_relaxed);
   s.pool_busy = pool_.busy_count();
   return s;

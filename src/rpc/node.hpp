@@ -1,9 +1,10 @@
 // Node: one simulated machine's RPC endpoint.
 //
-// Serving side — a receiver thread drains the node's Inbox.  Requests are
-// dispatched through the target object's FIFO command queue onto an elastic
-// thread pool (so servants can make nested blocking remote calls, as the
-// paper's FFT group does).  Responses complete the matching pending call.
+// Serving side — a receiver thread drains the node's Inbox.  It appends
+// each request to the target object's FIFO command queue, drained on an
+// elastic thread pool (so servants can make nested blocking remote calls,
+// as the paper's FFT group does).  Responses complete the matching pending
+// call.
 //
 // Client side — call_raw/async_raw implement the synchronous semantics of
 // §2 ("each instruction, and all communications associated with it, is
@@ -62,7 +63,6 @@ struct NodeStats {
   std::uint64_t objects_destroyed = 0;
   std::uint64_t pool_threads = 0;
   std::uint64_t pool_tasks_run = 0;
-  std::uint64_t dispatch_shards = 0;   // configured shard count
   std::uint64_t queue_depth_hwm = 0;   // object-queue depth high water
   std::uint64_t pool_busy = 0;         // workers inside a task right now
 };
@@ -71,25 +71,20 @@ template <class Ar>
 void oopp_serialize(Ar& ar, NodeStats& s) {
   ar(s.objects_live, s.requests_served, s.control_requests,
      s.remote_exceptions, s.objects_spawned, s.objects_destroyed,
-     s.pool_threads, s.pool_tasks_run, s.dispatch_shards, s.queue_depth_hwm,
-     s.pool_busy);
+     s.pool_threads, s.pool_tasks_run, s.queue_depth_hwm, s.pool_busy);
 }
 
 /// How a node turns decoded requests into servant executions: the N:M
-/// dispatch surface (docs/DISPATCH.md).  The receiver thread routes each
-/// request to its target object's shard; shards drain on the elastic
-/// worker pool, preserving per-object FIFO order while distinct objects
-/// proceed in parallel.
+/// dispatch surface (docs/DISPATCH.md).  The receiver thread appends each
+/// request to its target object's command queue; queues drain on the
+/// elastic worker pool, preserving per-object FIFO order while distinct
+/// objects proceed in parallel.
 struct DispatchOptions {
   /// Worker pool floor.  The pool still grows elastically up to
   /// max_workers — servants may make nested blocking remote calls, and a
   /// fixed pool could deadlock (see util/thread_pool.hpp).
   std::size_t workers = 2;
   std::size_t max_workers = 512;
-  /// Object-table / routing shards (rounded up to a power of two).  One
-  /// shard serializes routing per object subset; more shards let the
-  /// table and queues scale with object count.
-  std::size_t shards = 8;
   /// Per-object command-queue bound.  0 = unbounded.  When a queue is
   /// full, further non-reentrant invocations are refused with
   /// kUnavailable (rpc::PeerUnavailable at the caller) instead of
@@ -138,7 +133,7 @@ struct PeerHealth {
 class Node {
  public:
   struct Options {
-    /// Worker pool, sharding, and queue-bound knobs (docs/DISPATCH.md);
+    /// Worker pool and queue-bound knobs (docs/DISPATCH.md);
     /// replaces the old min_threads/max_threads pair.
     DispatchOptions dispatch{};
     /// Stamp every outgoing payload with a checksum and verify inbound
@@ -277,12 +272,8 @@ class Node {
   friend class ContextGuard;
 
   void receive_loop();
-  /// Append a decoded request to its target shard's FIFO and kick a
-  /// drain task if that shard is idle (runs on the receiver thread).
-  void route_request(net::Message req);
-  /// Pop-and-dispatch one shard's queued requests until empty (runs on a
-  /// pool worker; never blocks on servant work — see on_request).
-  void drain_shard(std::size_t shard);
+  /// Route one request (runs on the receiver thread; never blocks on
+  /// servant work — see node.cpp).
   void on_request(net::Message req);
   void on_response(net::Message resp);
 
@@ -360,17 +351,6 @@ class Node {
   ObjectTable objects_;
   std::thread receiver_;  // oopp-lint: allow(raw-thread-primitive)
   bool started_ = false;
-
-  /// One routing shard of the N:M dispatch: requests for objects with
-  /// shard_of(id) == index queue here in arrival order; a single drain
-  /// task per shard feeds them to on_request, so routing itself is FIFO
-  /// per shard (and therefore per object).
-  struct DispatchShard {
-    util::CheckedMutex mu{"rpc.Node.dispatch_shard"};
-    std::deque<net::Message> q;
-    bool draining = false;
-  };
-  std::vector<std::unique_ptr<DispatchShard>> dispatch_shards_;
   std::atomic<std::uint64_t> queue_depth_hwm_{0};
 
   /// One in-flight client call: the promise the response completes, plus

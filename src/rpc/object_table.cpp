@@ -2,20 +2,6 @@
 
 namespace oopp::rpc {
 
-namespace {
-
-std::size_t round_up_pow2(std::size_t n) {
-  if (n < 1) return 1;
-  std::size_t p = 1;
-  while (p < n) p <<= 1;
-  return p;
-}
-
-}  // namespace
-
-ObjectTable::ObjectTable(std::size_t shards)
-    : shards_(round_up_pow2(shards)) {}
-
 net::ObjectId ObjectTable::insert(std::unique_ptr<ServantBase> servant,
                                   const ClassInfo* info) {
   auto entry = std::make_shared<Entry>();

@@ -7,12 +7,12 @@
 // a well-defined point for the group barrier of §4), while different
 // objects on the same machine execute concurrently.
 //
-// The table is sharded by object id (shard = id & (shards - 1)) so the
-// node's N:M dispatch can route and look up concurrently without one map
-// mutex serializing every request; DispatchOptions::shards picks the
-// count.
+// The table is sharded by object id (shard = id & (kShards - 1)) so
+// lookups from the receiver thread and from servant code do not all
+// serialize on one map mutex.
 #pragma once
 
+#include <array>
 #include <atomic>
 #include <deque>
 #include <functional>
@@ -40,9 +40,6 @@ class ObjectTable {
     bool destroyed = false;
   };
 
-  /// `shards` is rounded up to a power of two (so shard_of is a mask).
-  explicit ObjectTable(std::size_t shards = 1);
-
   /// Register a servant; returns its fresh object id (ids are never
   /// reused, so a stale remote pointer can only miss, never alias).
   net::ObjectId insert(std::unique_ptr<ServantBase> servant,
@@ -58,20 +55,17 @@ class ObjectTable {
   [[nodiscard]] std::size_t size() const;
   [[nodiscard]] std::vector<net::ObjectId> ids() const;
 
-  [[nodiscard]] std::size_t shard_count() const { return shards_.size(); }
-  /// Which shard an object id maps to (kNodeObject → 0); the node's
-  /// dispatch queues mirror this mapping.
-  [[nodiscard]] std::size_t shard_of(net::ObjectId id) const {
-    return id & (shards_.size() - 1);
-  }
-
  private:
+  static constexpr std::size_t kShards = 8;  // a power of two: shard_of masks
+
   struct Shard {
     mutable util::CheckedMutex mu{"rpc.ObjectTable.shard"};
     std::unordered_map<net::ObjectId, std::shared_ptr<Entry>> map;
   };
 
-  std::vector<Shard> shards_;
+  static std::size_t shard_of(net::ObjectId id) { return id & (kShards - 1); }
+
+  std::array<Shard, kShards> shards_;
   std::atomic<net::ObjectId> next_{1};  // 0 is kNodeObject
 };
 

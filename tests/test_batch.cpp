@@ -3,8 +3,6 @@
 // composition with checksums (FaultyFabric) and retry/dedup — batching
 // must never weaken the PR 3 fault-tolerance invariants.
 #include <gtest/gtest.h>
-#include <sys/socket.h>
-#include <unistd.h>
 
 #include <chrono>
 #include <string>
@@ -18,9 +16,13 @@
 #include "net/tcp_fabric.hpp"
 #include "net/tcp_wire.hpp"
 #include "rpc/call_policy.hpp"
+#include "wire_socket.hpp"
 
 namespace net = oopp::net;
 namespace wire = oopp::net::wire;
+using net::test::read_frames;
+using net::test::read_n;
+using net::test::SocketPair;
 using namespace std::chrono_literals;
 
 namespace {
@@ -85,26 +87,6 @@ TEST(Buffer, MutateByteIsCopyOnWrite) {
 
 // -- wire codec -------------------------------------------------------------
 
-struct SocketPair {
-  int a = -1, b = -1;
-  SocketPair() {
-    int fds[2];
-    EXPECT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, fds), 0);
-    a = fds[0];
-    b = fds[1];
-  }
-  ~SocketPair() {
-    if (a >= 0) ::close(a);
-    if (b >= 0) ::close(b);
-  }
-};
-
-std::vector<std::byte> read_n(int fd, std::size_t n) {
-  std::vector<std::byte> v(n);
-  EXPECT_TRUE(wire::read_all(fd, v.data(), n));
-  return v;
-}
-
 TEST(WireCodec, SendFramevMatchesSendFrameByteForByte) {
   auto m = req(42, 300);
   const std::size_t wire_bytes = wire::kFrameHeaderSize + m.payload.size();
@@ -128,9 +110,9 @@ TEST(WireCodec, SendFramevHandlesMultiSlicePayloads) {
 
     SocketPair sp;
     ASSERT_TRUE(wire::send_framev(sp.a, m));
-    net::Message got;
-    ASSERT_TRUE(wire::recv_frame(sp.b, got));
-    EXPECT_EQ(got.payload.to_vector(), p.to_vector());
+    const auto got = read_frames(sp.b, 1);
+    ASSERT_EQ(got.size(), 1u);
+    EXPECT_EQ(got[0].payload.to_vector(), p.to_vector());
   }
 }
 
@@ -142,9 +124,7 @@ TEST(WireCodec, BatchRoundTripsThroughFrameReader) {
 
   SocketPair sp;
   ASSERT_TRUE(wire::send_batch(sp.a, frames.data(), frames.size()));
-  wire::FrameReader reader(sp.b);
-  std::vector<net::Message> got;
-  ASSERT_TRUE(reader.next_batch(got));
+  const auto got = read_frames(sp.b, frames.size());
   ASSERT_EQ(got.size(), frames.size());
   for (std::size_t i = 0; i < got.size(); ++i) {
     EXPECT_EQ(got[i].header.seq, frames[i].header.seq);
@@ -161,12 +141,10 @@ TEST(WireCodec, FrameReaderAcceptsMixedPlainAndBatchUnits) {
   ASSERT_TRUE(wire::send_batch(sp.a, batch.data(), batch.size()));
   ASSERT_TRUE(wire::send_framev(sp.a, req(103, 8)));
 
-  wire::FrameReader reader(sp.b);
-  net::Message m;
-  for (net::SeqNum want = 100; want <= 103; ++want) {
-    ASSERT_TRUE(reader.next(m));
-    EXPECT_EQ(m.header.seq, want);
-  }
+  const auto got = read_frames(sp.b, 4);
+  ASSERT_EQ(got.size(), 4u);
+  for (net::SeqNum want = 100; want <= 103; ++want)
+    EXPECT_EQ(got[want - 100].header.seq, want);
 }
 
 TEST(WireCodec, MalformedBatchHeaderIsRejected) {

@@ -1,10 +1,11 @@
-// N:M dispatch tests (docs/DISPATCH.md): the receiver thread routes
-// requests to per-shard FIFOs drained on the worker pool.  These pin the
-// redesign's contract — per-object FIFO order survives N concurrent
-// clients, M distinct objects demonstrably execute in parallel, a racing
+// N:M dispatch tests (docs/DISPATCH.md): the receiver thread routes each
+// request onto its object's FIFO command queue, drained on the worker
+// pool.  These pin the contract — per-object FIFO order survives N
+// concurrent clients, control verbs keep their place in an object's issue
+// order, M distinct objects demonstrably execute in parallel, a racing
 // shutdown cannot deliver into a destroyed Inbox, a bounded object queue
 // refuses overflow with PeerUnavailable, and the reactor's incremental
-// frame decoder parses exactly the bytes the blocking FrameReader does.
+// frame decoder parses exactly the bytes the senders write.
 #include <gtest/gtest.h>
 #include <sys/socket.h>
 #include <unistd.h>
@@ -19,9 +20,9 @@
 #include <thread>
 #include <vector>
 
+#include "core/cluster.hpp"
 #include "core/future.hpp"
 #include "core/remote_ptr.hpp"
-#include "net/fabric_options.hpp"
 #include "net/inproc_fabric.hpp"
 #include "net/tcp_fabric.hpp"
 #include "net/tcp_wire.hpp"
@@ -109,6 +110,21 @@ class Sleeper {
   }
 };
 
+/// A persistent counter: migrate() checkpoints it, so the migrated total
+/// shows whether every add() issued before the migrate ran first.
+class Tally {
+ public:
+  Tally() = default;
+  explicit Tally(oopp::serial::IArchive& ia) { ia(total_); }
+  void oopp_save(oopp::serial::OArchive& oa) const { oa(total_); }
+
+  int add(int x) { return total_ += x; }
+  int total() const { return total_; }
+
+ private:
+  int total_ = 0;
+};
+
 }  // namespace
 
 template <>
@@ -142,16 +158,28 @@ struct oopp::rpc::class_def<Sleeper> {
   }
 };
 
+template <>
+struct oopp::rpc::class_def<Tally> {
+  static std::string name() { return "test.dispatch.Tally"; }
+  using ctors = ctor_list<ctor<>>;
+  template <class B>
+  static void bind(B& b) {
+    b.template method<&Tally::add>("add");
+    b.template method<&Tally::total>("total");
+    b.persistent();
+  }
+};
+
 namespace {
 
 // ---------------------------------------------------------------------------
-// Per-client FIFO through the full reactor + shard + object-queue chain
+// Per-client FIFO through the full reactor + object-queue chain
 // ---------------------------------------------------------------------------
 
 // N client threads share one Recorder over real TCP (reactor inbound
 // path).  Each thread issues its calls in order, so the chain inbox FIFO
-// -> shard FIFO -> object FIFO must preserve each client's subsequence
-// even though clients interleave arbitrarily.
+// -> object FIFO must preserve each client's subsequence even though
+// clients interleave arbitrarily.
 TEST(Dispatch, NClientsOneObjectObserveStrictFifo) {
   constexpr int kClients = 4;
   constexpr int kCalls = 48;
@@ -210,6 +238,50 @@ TEST(Dispatch, NClientsOneObjectObserveStrictFifo) {
 }
 
 // ---------------------------------------------------------------------------
+// Control verbs keep their place in an object's issue order
+// ---------------------------------------------------------------------------
+
+// Paper §2: delete terminates the process only after the commands issued
+// before it, and migrate checkpoints only once the queued work is done.
+// Every round must hold on both fabrics, whatever the interleaving.
+void control_verbs_keep_issue_order(oopp::Cluster::FabricKind fabric) {
+  constexpr int kRounds = 50;
+  constexpr int kCalls = 32;
+  constexpr auto kWait = std::chrono::seconds(30);
+  oopp::Cluster cluster(
+      oopp::Cluster::Options{.machines = 3, .fabric = fabric});
+
+  for (int round = 0; round < kRounds; ++round) {
+    SCOPED_TRACE(round);
+    auto victim = cluster.make_remote<Tally>(1);
+    std::vector<Future<int>> before;
+    before.reserve(kCalls);
+    for (int i = 0; i < kCalls; ++i)
+      before.push_back(victim.async<&Tally::add>(1));
+    auto destroyed = victim.async_destroy();
+    auto after = victim.async<&Tally::add>(1);
+    for (auto& f : before) EXPECT_NO_THROW((void)f.get_for(kWait));
+    EXPECT_NO_THROW(destroyed.get_for(kWait));
+    EXPECT_THROW((void)after.get_for(kWait), rpc::ObjectNotFound);
+
+    auto mover = cluster.make_remote<Tally>(1);
+    std::vector<Future<int>> adds;
+    adds.reserve(kCalls);
+    for (int i = 0; i < kCalls; ++i)
+      adds.push_back(mover.async<&Tally::add>(1));
+    auto moved = cluster.migrate(mover, 2);
+    for (auto& f : adds) EXPECT_NO_THROW((void)f.get_for(kWait));
+    EXPECT_EQ(moved.call<&Tally::total>(), kCalls);
+    moved.destroy();
+  }
+}
+
+TEST(Dispatch, ControlVerbsKeepIssueOrder) {
+  control_verbs_keep_issue_order(oopp::Cluster::FabricKind::kInProc);
+  control_verbs_keep_issue_order(oopp::Cluster::FabricKind::kTcp);
+}
+
+// ---------------------------------------------------------------------------
 // M distinct objects on one node execute in parallel
 // ---------------------------------------------------------------------------
 
@@ -249,8 +321,8 @@ TEST(Dispatch, MObjectsOnOneNodeExecuteInParallel) {
 // never delivered into a destroyed Inbox
 // ---------------------------------------------------------------------------
 
-void racing_shutdown(const net::FabricOptions& transport) {
-  net::TcpFabric fabric(2, transport);
+TEST(Dispatch, RacingShutdownReactor) {
+  net::TcpFabric fabric(2);
   auto n0 = std::make_unique<rpc::Node>(0, fabric);
   auto n1 = std::make_unique<rpc::Node>(1, fabric);
   n0->start();
@@ -296,14 +368,6 @@ void racing_shutdown(const net::FabricOptions& transport) {
   fabric.shutdown();
 }
 
-TEST(Dispatch, RacingShutdownReactor) {
-  racing_shutdown(net::FabricOptions{.reactor = true});
-}
-
-TEST(Dispatch, RacingShutdownThreadPerPeer) {
-  racing_shutdown(net::FabricOptions{.reactor = false});
-}
-
 // ---------------------------------------------------------------------------
 // Bounded object queues refuse overflow with PeerUnavailable
 // ---------------------------------------------------------------------------
@@ -313,7 +377,6 @@ TEST(Dispatch, QueueBoundRejectsOverflowWithPeerUnavailable) {
   rpc::Node n0(0, fabric);
   rpc::Node::Options opts;
   opts.dispatch.queue_bound = 2;
-  opts.dispatch.shards = 5;  // rounds up to 8
   rpc::Node n1(1, fabric, opts);
   n0.start();
   n1.start();
@@ -343,7 +406,6 @@ TEST(Dispatch, QueueBoundRejectsOverflowWithPeerUnavailable) {
   EXPECT_EQ(ok + unavailable, kCalls);
 
   const auto stats = n1.stats();
-  EXPECT_EQ(stats.dispatch_shards, 8u);   // 5 rounded up to a power of two
   EXPECT_GE(stats.queue_depth_hwm, 1u);   // the storm stacked the queue
   EXPECT_GE(stats.pool_threads, opts.dispatch.workers);
 
@@ -386,9 +448,9 @@ void expect_same_message(const net::Message& got, const net::Message& want) {
 
 // Feed the exact bytes send_frame/send_batch put on the wire into the
 // reactor's incremental decoder one byte at a time — the worst possible
-// read() fragmentation — and require the same message sequence the
-// blocking FrameReader would produce: plain frames, an empty payload, a
-// held-locks header extension, and a 0xB5 batch.
+// read() fragmentation — and require exactly the message sequence that
+// was sent: plain frames, an empty payload, a held-locks header extension,
+// and a 0xB5 batch.
 TEST(Dispatch, StreamFrameDecoderByteAtATimeMatchesWire) {
   int sv[2];
   ASSERT_EQ(0, ::socketpair(AF_UNIX, SOCK_STREAM, 0, sv));

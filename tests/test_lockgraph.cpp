@@ -5,7 +5,6 @@
 // (tools/oopp_graph.py) — including the two-node deadlock cycle that no
 // single node's online lockdep can see.
 #include <gtest/gtest.h>
-#include <sys/socket.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
@@ -21,6 +20,7 @@
 #include "net/message.hpp"
 #include "net/tcp_wire.hpp"
 #include "util/checked_mutex.hpp"
+#include "wire_socket.hpp"
 
 using oopp::Cluster;
 using oopp::util::CheckedMutex;
@@ -184,25 +184,12 @@ TEST(HeldLocksWire, MalformedExtensionIsRejected) {
   EXPECT_EQ(wire::decode_header(buf, sizeof(buf), h, payload_len), 0u);
 }
 
-struct SocketPair {
-  int a = -1, b = -1;
-  SocketPair() {
-    int fds[2];
-    EXPECT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, fds), 0);
-    a = fds[0];
-    b = fds[1];
-  }
-  ~SocketPair() {
-    if (a >= 0) ::close(a);
-    if (b >= 0) ::close(b);
-  }
-};
-
 TEST(HeldLocksWire, RoundTripsThroughSocketAndFrameReader) {
-  SocketPair sp;
+  net::test::SocketPair sp;
   ASSERT_TRUE(wire::send_framev(sp.a, req_with_held({5, 6})));
-  net::Message got;
-  ASSERT_TRUE(wire::recv_frame(sp.b, got));
+  const auto one = net::test::read_frames(sp.b, 1);
+  ASSERT_EQ(one.size(), 1u);
+  const net::Message& got = one[0];
   ASSERT_EQ(got.header.held.count, 2);
   EXPECT_EQ(got.header.held.ids[0], 5u);
   EXPECT_EQ(got.header.held.ids[1], 6u);
@@ -212,9 +199,7 @@ TEST(HeldLocksWire, RoundTripsThroughSocketAndFrameReader) {
                                    req_with_held({}),
                                    req_with_held({1, 2, 3, 4})};
   ASSERT_TRUE(wire::send_batch(sp.a, frames.data(), frames.size()));
-  wire::FrameReader reader(sp.b);
-  std::vector<net::Message> out;
-  ASSERT_TRUE(reader.next_batch(out));
+  const auto out = net::test::read_frames(sp.b, frames.size());
   ASSERT_EQ(out.size(), 3u);
   EXPECT_EQ(out[0].header.held.count, 1);
   EXPECT_EQ(out[0].header.held.ids[0], 0xabcdu);

@@ -8,7 +8,7 @@
 
 #include "core/oopp.hpp"
 #include "kv/kv_store.hpp"
-#include "net/tcp_mesh_fabric.hpp"
+#include "net/tcp_fabric.hpp"
 
 using namespace oopp;
 

@@ -16,7 +16,7 @@ inline std::vector<std::byte> hand_rolled_batch(std::size_t frames) {
 }
 
 // Naming the codec entry points outside net::wire is flagged too: parsing
-// belongs to the FrameReader alone.
+// belongs to net::wire alone.
 inline void parse(const std::byte* p) {
   decode_batch_header(p);  // LINT-EXPECT: raw-batch-header
 }

@@ -37,19 +37,12 @@ future-bare-get         A bare ``.get()`` on a future inside the hot
                         wait is intended (e.g. behind a caller-supplied
                         policy).  ``src/core/future.hpp`` itself is
                         exempt: it is the implementation.
-removed-alias           The pre-unification remote-call spellings
-                        (``call_all`` / ``async_all`` / ``invoke_all`` /
-                        ``invoke_all_indexed`` / ``.collect<M>`` /
-                        ``rpc_error``) were deprecated in PR 2 and removed
-                        in PR 4; any reappearance is rejected so the dead
-                        API cannot grow back.  See the migration table in
-                        docs/TELEMETRY.md.
 raw-batch-header        Batch-frame framing (``kBatchMagic`` / the 0xB5
                         magic byte / ``kBatchHeaderSize`` /
                         ``encode_batch_header`` / ``decode_batch_header``)
                         belongs to net::wire alone.  A hand-rolled batch
                         header outside ``src/net/`` silently diverges from
-                        the one codec the FrameReader understands.
+                        the one codec the reactor's decoder understands.
 async-then-immediate-get
                         ``async_*(...)`` / ``.async<&M>(...)`` followed by
                         ``.get()`` in the same statement is a blocking
@@ -83,27 +76,6 @@ dispatch-thread-blocking
                         elastic pool is sized for linear chains).  Servant
                         classes are those with a ``class_def<T>``
                         specialization anywhere in the linted tree.
-deprecated-transport-setter
-                        The per-fabric transport setters
-                        (``set_batching(...)`` / ``batching()``) were
-                        deprecated in PR 7 in favour of the unified
-                        ``net::FabricOptions`` carried by
-                        ``Cluster::Options::transport`` (runtime changes go
-                        through ``Fabric::reconfigure``).  The forwarders
-                        stay for one release for out-of-tree callers, but
-                        in-tree code may not use them — see the migration
-                        table in README.md.  ``src/net/`` is exempt: the
-                        forwarders are defined there.
-deprecated-persist-api  The raw registry surface — ``NameService::put`` /
-                        ``get`` / ``erase`` and hand-built
-                        ``PersistRecord``s — was deprecated with the typed
-                        durability facade (``oopp::Uri`` +
-                        ``Cluster::persist/activate/lookup/forget``).  The
-                        ``[[deprecated]]`` forwarders stay one release for
-                        out-of-tree callers, but in-tree code goes through
-                        the facade — see the migration table in README.md.
-                        ``src/core/`` is exempt: the forwarders and the
-                        record type are defined (and mediated) there.
 
 Usage
 -----
@@ -141,15 +113,6 @@ MESSAGE_HEADER_ALLOWED = ("src/net/",)
 # Batch-frame framing (magic, header layout, codec) lives in net::wire only.
 BATCH_HEADER_ALLOWED = ("src/net/",)
 
-# The deprecated transport setters are defined (and self-referenced) here;
-# everywhere else must use net::FabricOptions / Fabric::reconfigure.
-TRANSPORT_SETTER_ALLOWED = ("src/net/",)
-
-# The deprecated registry surface (NameService::put/get/erase,
-# hand-built PersistRecords) is defined and mediated here; everywhere else
-# goes through the Uri-typed Cluster facade.
-PERSIST_API_ALLOWED = ("src/core/",)
-
 # Hot paths where an unbounded Future::get() is a hang waiting to happen.
 # future.hpp is the implementation of get() itself and stays exempt.
 FUTURE_GET_SCOPED = ("src/core/", "src/kv/", "src/dsm/", "src/coll/")
@@ -172,8 +135,6 @@ RULES = {
         "hand-built net::Message headers banned outside src/net/",
     "future-bare-get":
         "bare Future::get() in hot paths must be bounded or annotated",
-    "removed-alias":
-        "retired pre-unification call spellings may not reappear",
     "raw-batch-header":
         "batch-frame framing (0xB5 codec) belongs to net::wire alone",
     "async-then-immediate-get":
@@ -184,10 +145,6 @@ RULES = {
         "CondVar wait without a predicate misses spurious wakeups",
     "dispatch-thread-blocking":
         "gather*/barrier* collectives inside a servant method",
-    "deprecated-transport-setter":
-        "set_batching()/batching() deprecated — use net::FabricOptions",
-    "deprecated-persist-api":
-        "NameService::put/get/erase + bare PersistRecord — use the facade",
 }
 
 
@@ -380,31 +337,11 @@ MESSAGE_HEADER_RE = re.compile(
 # call result (`async_ping().get()`).  Subscripted smart-pointer accesses
 # like `nodes_[i].get()` have `]` before the dot and do not match.
 FUTURE_GET_RE = re.compile(r"[\w)]\s*(?:\.|->)\s*get\s*\(\s*\)")
-# The retired pre-unification spellings.  `collect` is only flagged in
-# member-call syntax (`.collect<` / `->collect<`) so the English word in
-# identifiers like collect_partial_impl stays legal.
-REMOVED_ALIAS_RE = re.compile(
-    r"\b(call_all|async_all|invoke_all_indexed|invoke_all|rpc_error)\b"
-    r"|(?:\.|->)\s*(?:template\s+)?(collect)\s*<"
-)
 # Batch-frame framing tokens: the magic byte and the codec entry points.
 BATCH_HEADER_RE = re.compile(
     r"\b(kBatchMagic|kBatchVersion|kBatchHeaderSize|"
     r"encode_batch_header|decode_batch_header)\b"
     r"|\b0[xX][bB]5\b"
-)
-# The deprecated per-fabric transport setters: a set_batching(...) call, or
-# a zero-argument batching() member read.  `options().batch` (the
-# replacement) does not match.
-TRANSPORT_SETTER_RE = re.compile(
-    r"\bset_batching\s*\(|(?:\.|->)\s*batching\s*\(\s*\)"
-)
-# The deprecated registry surface: the old NameService method names
-# (qualified, as member-pointer call targets) and any mention of the raw
-# record type.  The replacements (bind/resolve/unbind and the Cluster
-# facade) do not match.
-DEPRECATED_PERSIST_RE = re.compile(
-    r"\bNameService\s*::\s*(put|get|erase)\b|\b(PersistRecord)\b"
 )
 
 
@@ -477,22 +414,6 @@ def check_token_rules(path: Path, text: str, raw_lines: list[str], rel: str):
                 )
             )
 
-    for m in REMOVED_ALIAS_RE.finditer(text):
-        line = line_of(text, m.start())
-        if suppressed(raw_lines, line, "removed-alias"):
-            continue
-        name = m.group(1) or m.group(2)
-        violations.append(
-            Violation(
-                path,
-                line,
-                "removed-alias",
-                f"'{name}' is a pre-unification spelling removed in PR 4 — "
-                f"use the unified call/async/gather surface (migration "
-                f"table in docs/TELEMETRY.md)",
-            )
-        )
-
     if not any(rel.startswith(p) or f"/{p}" in rel
                for p in BATCH_HEADER_ALLOWED):
         for m in BATCH_HEADER_RE.finditer(text):
@@ -505,48 +426,8 @@ def check_token_rules(path: Path, text: str, raw_lines: list[str], rel: str):
                     line,
                     "raw-batch-header",
                     "batch-frame framing outside src/net/ — only "
-                    "net::wire::send_batch / FrameReader may emit or parse "
-                    "the 0xB5 batch header, so the codec cannot fork",
-                )
-            )
-
-    if not any(rel.startswith(p) or f"/{p}" in rel
-               for p in TRANSPORT_SETTER_ALLOWED):
-        for m in TRANSPORT_SETTER_RE.finditer(text):
-            line = line_of(text, m.start())
-            if suppressed(raw_lines, line, "deprecated-transport-setter"):
-                continue
-            violations.append(
-                Violation(
-                    path,
-                    line,
-                    "deprecated-transport-setter",
-                    "deprecated transport setter — configure batching via "
-                    "net::FabricOptions (Cluster::Options::transport / the "
-                    "fabric constructor) and change it at runtime with "
-                    "Fabric::reconfigure(); see the migration table in "
-                    "README.md",
-                )
-            )
-
-    if not any(rel.startswith(p) or f"/{p}" in rel
-               for p in PERSIST_API_ALLOWED):
-        for m in DEPRECATED_PERSIST_RE.finditer(text):
-            line = line_of(text, m.start())
-            if suppressed(raw_lines, line, "deprecated-persist-api"):
-                continue
-            what = (f"NameService::{m.group(1)}" if m.group(1)
-                    else "bare PersistRecord")
-            violations.append(
-                Violation(
-                    path,
-                    line,
-                    "deprecated-persist-api",
-                    f"{what} — deprecated raw registry surface; go through "
-                    f"the typed durability facade (oopp::Uri + "
-                    f"Cluster::persist/activate/lookup/forget, or "
-                    f"NameService::bind/resolve/unbind); see the migration "
-                    f"table in README.md",
+                    "net::wire::send_batch / StreamFrameDecoder may emit or "
+                    "parse the 0xB5 batch header, so the codec cannot fork",
                 )
             )
 
