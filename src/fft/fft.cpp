@@ -101,20 +101,6 @@ void fft_inplace_unplanned(std::span<cplx> data, int sign) {
     bluestein(data, sign);
 }
 
-void fft_strided(cplx* data, index_t n, index_t stride, int sign) {
-  OOPP_CHECK(n >= 1 && stride >= 1);
-  if (stride == 1) {
-    fft_inplace(std::span<cplx>(data, static_cast<std::size_t>(n)), sign);
-    return;
-  }
-  // Gather, transform, scatter.  A strided in-place butterfly would avoid
-  // the copies but loses cache locality; gather/scatter wins in practice.
-  std::vector<cplx> tmp(static_cast<std::size_t>(n));
-  for (index_t i = 0; i < n; ++i) tmp[i] = data[i * stride];
-  fft_inplace(tmp, sign);
-  for (index_t i = 0; i < n; ++i) data[i * stride] = tmp[i];
-}
-
 std::vector<cplx> dft_reference(std::span<const cplx> data, int sign) {
   OOPP_CHECK(sign == -1 || sign == 1);
   const auto n = static_cast<index_t>(data.size());

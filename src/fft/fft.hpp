@@ -3,9 +3,10 @@
 // The paper's motivating workload (§1, §4) is a Fourier transform on a
 // very large 3-D array.  This module provides the node-local building
 // blocks: an iterative radix-2 Cooley–Tukey transform for power-of-two
-// lengths, Bluestein's chirp-z algorithm for arbitrary lengths, strided
-// transforms for the non-contiguous axes of multidimensional arrays, and
-// a naive O(n^2) DFT as the correctness reference for tests.
+// lengths, Bluestein's chirp-z algorithm for arbitrary lengths, and a
+// naive O(n^2) DFT as the correctness reference for tests.  The planned
+// kernel in fft/plan.hpp also transforms the strided columns of
+// multidimensional arrays in place.
 //
 // Convention: sign = -1 is the forward transform, sign = +1 the inverse;
 // neither is normalized.  forward followed by inverse scales by n — use
@@ -37,10 +38,6 @@ void fft_inplace_unplanned(std::span<cplx> data, int sign);
 
 /// In-place radix-2 FFT; data.size() must be a power of two.
 void fft_pow2_inplace(std::span<cplx> data, int sign);
-
-/// FFT along a strided axis: transforms the n elements
-/// data[0], data[stride], ..., data[(n-1)*stride] in place.
-void fft_strided(cplx* data, index_t n, index_t stride, int sign);
 
 /// Naive O(n^2) DFT — the test oracle.
 [[nodiscard]] std::vector<cplx> dft_reference(std::span<const cplx> data,

@@ -1,5 +1,6 @@
 #include "fft/fft3d.hpp"
 
+#include "fft/plan.hpp"
 #include "util/assert.hpp"
 
 namespace oopp::fft {
@@ -7,27 +8,22 @@ namespace oopp::fft {
 void fft3d_axis(std::vector<cplx>& data, const Extents3& e, int axis,
                 int sign) {
   OOPP_CHECK(static_cast<index_t>(data.size()) == e.volume());
+  const index_t plane = e.n2 * e.n3;
   switch (axis) {
     case 2:
       // Contiguous rows.
-      for (index_t i1 = 0; i1 < e.n1; ++i1)
-        for (index_t i2 = 0; i2 < e.n2; ++i2)
-          fft_inplace(std::span<cplx>(data.data() + e.linear(i1, i2, 0),
-                                      static_cast<std::size_t>(e.n3)),
-                      sign);
+      plan_for(e.n3, sign)->execute_columns(data.data(), e.n1 * e.n2, e.n3,
+                                            1, 1);
       return;
     case 1:
-      // Stride n3 columns within each i1-plane.
-      for (index_t i1 = 0; i1 < e.n1; ++i1)
-        for (index_t i3 = 0; i3 < e.n3; ++i3)
-          fft_strided(data.data() + e.linear(i1, 0, i3), e.n2, e.n3, sign);
+      // Per i1-plane, N3 adjacent columns N3 apart.
+      plan_for(e.n2, sign)->execute_columns(data.data(), e.n1, plane, e.n3,
+                                            e.n3);
       return;
     case 0:
-      // Stride n2*n3 pencils.
-      for (index_t i2 = 0; i2 < e.n2; ++i2)
-        for (index_t i3 = 0; i3 < e.n3; ++i3)
-          fft_strided(data.data() + e.linear(0, i2, i3), e.n1, e.n2 * e.n3,
-                      sign);
+      // N2*N3 adjacent pencils, N2*N3 apart.
+      plan_for(e.n1, sign)->execute_columns(data.data(), 1, plane, plane,
+                                            plane);
       return;
     default:
       OOPP_CHECK_MSG(false, "axis " << axis << " out of range");

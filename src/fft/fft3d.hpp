@@ -16,7 +16,13 @@ namespace oopp::fft {
 /// round trip).
 void fft3d_inplace(std::vector<cplx>& data, const Extents3& e, int sign);
 
-/// FFT along one axis only (0, 1 or 2) of a row-major 3-D array.
+/// FFT along one axis only (0, 1 or 2) of a row-major 3-D array, in place,
+/// with one plan for the whole sweep (Plan1D::execute_columns).  Axis 2
+/// transforms contiguous rows.  Axis 1 transforms, in each i1-plane, N3
+/// adjacent columns whose elements sit N3 apart; axis 0 transforms N2*N3
+/// adjacent pencils whose elements sit N2*N3 apart.  For finite inputs the
+/// result is bit-identical to transforming each column on its own with
+/// std::complex butterflies.
 void fft3d_axis(std::vector<cplx>& data, const Extents3& e, int axis,
                 int sign);
 

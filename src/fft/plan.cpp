@@ -1,5 +1,6 @@
 #include "fft/plan.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <map>
 #include <mutex>
@@ -65,35 +66,90 @@ void Plan1D::execute(std::span<cplx> data) const {
   OOPP_CHECK_MSG(static_cast<index_t>(data.size()) == n_,
                  "plan length mismatch");
   if (n_ == 1) return;
-  if (pow2_)
-    execute_pow2(data);
-  else
-    execute_bluestein(data);
+  if (pow2_) {
+    radix2(data.data(), 1, 1);
+  } else {
+    std::vector<cplx> work;
+    execute_bluestein(data, work);
+  }
 }
 
-void Plan1D::execute_pow2(std::span<cplx> data) const {
+void Plan1D::execute_columns(cplx* data, index_t planes,
+                             index_t plane_stride, index_t count,
+                             index_t stride) const {
+  OOPP_CHECK_MSG(planes >= 0 && plane_stride >= 0 && count >= 0 &&
+                     stride >= count,
+                 "bad column layout: " << count << " columns " << stride
+                                       << " apart");
+  if (n_ == 1) return;
+  if (pow2_) {
+    for (index_t p = 0; p < planes; ++p) {
+      cplx* plane = data + p * plane_stride;
+      for (index_t c = 0; c < count; c += kColumnBlock)
+        radix2(plane + c,
+               static_cast<std::size_t>(std::min(kColumnBlock, count - c)),
+               static_cast<std::size_t>(stride));
+    }
+    return;
+  }
+  std::vector<cplx> column(static_cast<std::size_t>(n_));
+  std::vector<cplx> work;
+  for (index_t p = 0; p < planes; ++p) {
+    cplx* plane = data + p * plane_stride;
+    for (index_t c = 0; c < count; ++c) {
+      for (index_t j = 0; j < n_; ++j)
+        column[static_cast<std::size_t>(j)] = plane[c + j * stride];
+      execute_bluestein(column, work);
+      for (index_t j = 0; j < n_; ++j)
+        plane[c + j * stride] = column[static_cast<std::size_t>(j)];
+    }
+  }
+}
+
+// Row r of the block is data[r * stride .. r * stride + count).  Every
+// butterfly pairs two rows and runs across the block's columns.
+void Plan1D::radix2(cplx* data, std::size_t count, std::size_t stride) const {
   const auto n = static_cast<std::size_t>(n_);
   for (std::size_t i = 0; i < n; ++i) {
     const std::size_t j = bitrev_[i];
-    if (i < j) std::swap(data[i], data[j]);
+    if (i < j)
+      std::swap_ranges(data + i * stride, data + i * stride + count,
+                       data + j * stride);
   }
+  // std::complex<double> is layout-compatible with double[2], so the
+  // block can be read as interleaved real/imaginary pairs.
+  auto* d = reinterpret_cast<double*>(data);
+  const std::size_t width = 2 * count;   // doubles in one block row
+  const std::size_t pitch = 2 * stride;  // doubles from row to row
   const cplx* stage = twiddles_.data();
-  for (std::size_t len = 2; len <= n; len <<= 1) {
-    const std::size_t half = len / 2;
-    for (std::size_t i = 0; i < n; i += len) {
+  for (std::size_t half = 1; half < n; half <<= 1) {
+    for (std::size_t i = 0; i < n; i += 2 * half) {
       for (std::size_t k = 0; k < half; ++k) {
-        const cplx u = data[i + k];
-        const cplx v = data[i + k + half] * stage[k];
-        data[i + k] = u + v;
-        data[i + k + half] = u - v;
+        const double wr = stage[k].real();
+        const double wi = stage[k].imag();
+        double* top = d + (i + k) * pitch;
+        double* bot = top + half * pitch;
+        for (std::size_t c = 0; c < width; c += 2) {
+          // v = bot * w with std::complex's products and order, then
+          // (top, bot) = (top + v, top - v).
+          const double vr = bot[c] * wr - bot[c + 1] * wi;
+          const double vi = bot[c] * wi + bot[c + 1] * wr;
+          const double ur = top[c];
+          const double ui = top[c + 1];
+          top[c] = ur + vr;
+          top[c + 1] = ui + vi;
+          bot[c] = ur - vr;
+          bot[c + 1] = ui - vi;
+        }
       }
     }
     stage += half;
   }
 }
 
-void Plan1D::execute_bluestein(std::span<cplx> data) const {
-  std::vector<cplx> a(static_cast<std::size_t>(m_), cplx{});
+void Plan1D::execute_bluestein(std::span<cplx> data,
+                               std::vector<cplx>& a) const {
+  a.assign(static_cast<std::size_t>(m_), cplx{});
   for (index_t k = 0; k < n_; ++k)
     a[static_cast<std::size_t>(k)] =
         data[static_cast<std::size_t>(k)] * chirp_[static_cast<std::size_t>(k)];

@@ -27,7 +27,6 @@
 // way around.
 #pragma once
 
-#include <atomic>
 #include <cstddef>
 #include <cstring>
 #include <memory>
@@ -94,13 +93,12 @@ class Bytes {
   /// only until this Bytes is next copied — fetch it again after a copy.
   [[nodiscard]] std::byte* mutable_data() {
     if (store_ == nullptr) return nullptr;
-    if (store_.use_count() != 1) {
+    // Copying store_ is an acquire-release increment of the use count.
+    // It reads the release decrement of the holder that let go last, so
+    // that holder's reads of the bytes happen before our writes.  With
+    // the probe counted, a sole holder sees 2.
+    if (const auto probe = store_; probe.use_count() != 2)
       *this = copy(span());
-    } else {
-      // Pairs with the release decrement of the holder that let go last,
-      // so its reads of the bytes happen before our writes.
-      std::atomic_thread_fence(std::memory_order_acquire);
-    }
     // Only the vector object is const; its elements never are, and no
     // one else can reach them now.
     return const_cast<std::byte*>(store_->data()) + off_;

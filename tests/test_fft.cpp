@@ -186,23 +186,65 @@ TEST(FftPlans, ConcurrentPlanForIsSafe) {
   EXPECT_EQ(errors.load(), 0);
 }
 
-TEST(FftStrided, EqualsContiguous) {
-  constexpr index_t n = 32, stride = 5;
-  auto packed = random_signal(n, 9);
-  std::vector<cplx> strided(static_cast<std::size_t>(n * stride), cplx{});
-  for (index_t i = 0; i < n; ++i) strided[i * stride] = packed[i];
-  fft::fft_inplace(packed, -1);
-  fft::fft_strided(strided.data(), n, stride, -1);
-  for (index_t i = 0; i < n; ++i)
-    EXPECT_NEAR(std::abs(strided[i * stride] - packed[i]), 0.0, 1e-10);
+// The batched kernel must give each column exactly (==) what execute()
+// gives it copied out contiguously: radix-2 lengths with blocks below, at
+// and above kColumnBlock, Bluestein lengths through their column copy.
+// The gaps between columns and between planes must stay untouched.
+TEST(FftColumns, MatchContiguousTransformsBitForBit) {
+  constexpr index_t kBlock = fft::Plan1D::kColumnBlock;
+  for (index_t n : {2, 8, 64, 6, 15}) {
+    for (int sign : {-1, +1}) {
+      const auto plan = fft::plan_for(n, sign);
+      for (index_t count : {index_t{1}, kBlock - 1, kBlock, kBlock + 1,
+                            2 * kBlock + 3}) {
+        const index_t stride = count + 3;
+        const index_t planes = 2;
+        const index_t plane_stride = n * stride + 5;
+        const auto before =
+            random_signal(static_cast<std::size_t>(planes * plane_stride),
+                          1000 * static_cast<std::uint64_t>(n) +
+                              static_cast<std::uint64_t>(count + sign));
+        auto got = before;
+        plan->execute_columns(got.data(), planes, plane_stride, count,
+                              stride);
+
+        auto expect = before;
+        std::vector<cplx> column(static_cast<std::size_t>(n));
+        for (index_t p = 0; p < planes; ++p)
+          for (index_t c = 0; c < count; ++c) {
+            cplx* base = expect.data() + p * plane_stride + c;
+            for (index_t j = 0; j < n; ++j) column[j] = base[j * stride];
+            plan->execute(column);
+            for (index_t j = 0; j < n; ++j) base[j * stride] = column[j];
+          }
+
+        std::size_t mismatches = 0;
+        for (std::size_t i = 0; i < got.size(); ++i)
+          mismatches += got[i] != expect[i];
+        EXPECT_EQ(mismatches, 0u)
+            << "n=" << n << " sign=" << sign << " count=" << count;
+      }
+    }
+  }
 }
 
+TEST(FftColumns, RejectsOverlappingColumns) {
+  std::vector<cplx> x(64);
+  EXPECT_THROW(fft::plan_for(8, -1)->execute_columns(x.data(), 1, 0, 4, 3),
+               oopp::check_error);
+}
+
+// {4,3,5} sends two axes through Bluestein.  {8,16,4} is all radix-2 with
+// an axis-1 block narrower than kColumnBlock (N3 = 4 columns) and an
+// axis-0 sweep of exactly four blocks (N2*N3 = 64 pencils).
 TEST(Fft3D, MatchesOracleSmall) {
-  const Extents3 e{4, 3, 5};
-  auto x = random_signal(static_cast<std::size_t>(e.volume()), 11);
-  auto expect = fft::dft3d_reference(x, e, -1);
-  fft::fft3d_inplace(x, e, -1);
-  EXPECT_LT(max_err(x, expect), 1e-8);
+  for (const Extents3& e : {Extents3{4, 3, 5}, Extents3{8, 16, 4}}) {
+    auto x = random_signal(static_cast<std::size_t>(e.volume()), 11);
+    auto expect = fft::dft3d_reference(x, e, -1);
+    fft::fft3d_inplace(x, e, -1);
+    EXPECT_LT(max_err(x, expect), 1e-8)
+        << e.n1 << "x" << e.n2 << "x" << e.n3;
+  }
 }
 
 TEST(Fft3D, RoundTripIsIdentity) {
