@@ -48,6 +48,25 @@ arr::Array make_disk_array(Cluster& cluster, const ScratchDir& dir,
   return arr::Array(n.n1, n.n2, n.n3, b.n1, b.n2, b.n3, storage, spec);
 }
 
+/// Where one transform's client time went, summed over both passes, in
+/// ms: waiting for fetches (pipelined only), assembling pages into the
+/// slab buffer, transforming it, packing it into write pages, and
+/// draining the write-behind (pipelined only).
+struct Split {
+  double wait, assemble, compute, pack, stall_write;
+};
+
+Split split_of(const fft::OutOfCoreStats& s) {
+  auto ms = [](std::uint64_t a, std::uint64_t b) {
+    return static_cast<double>(a + b) / 1e6;
+  };
+  return {ms(s.pass1.stall_read_ns, s.pass2.stall_read_ns),
+          ms(s.pass1.assemble_ns, s.pass2.assemble_ns),
+          ms(s.pass1.compute_ns, s.pass2.compute_ns),
+          ms(s.pass1.pack_ns, s.pass2.pack_ns),
+          ms(s.pass1.stall_write_ns, s.pass2.stall_write_ns)};
+}
+
 // CI smoke: the tentpole comparison — the same out-of-core transform,
 // strict read→compute→write order vs the double-buffered pipeline
 // (prefetch slab k+1 / transform k / write-behind k-1).  Emits
@@ -83,6 +102,7 @@ int run_smoke() {
 
   double ms[2] = {0, 0};
   std::uint64_t stall_ns = 0;
+  Split split[2] = {};
   for (const bool pipeline : {false, true}) {
     auto re = make_disk_array(cluster, dir,
                               std::string("sA") + (pipeline ? "p" : "s"), N,
@@ -105,22 +125,36 @@ int run_smoke() {
     });
     ms[pipeline ? 1 : 0] = secs * 1e3;
     if (pipeline) stall_ns = stats.stall_ns();
+    split[pipeline ? 1 : 0] = split_of(stats);
     arr::destroy_block_storage(const_cast<arr::BlockStorage&>(re.storage()));
     arr::destroy_block_storage(const_cast<arr::BlockStorage&>(im.storage()));
   }
 
   const double speedup = ms[0] / ms[1];
+  const Split& p = split[1];
   bench::note("64^3 complex field, 4 devices/array, %u us service, "
               "%zu KiB pipeline budget (same 8-row slabs in both modes):",
               kServiceUs, budget >> 10);
   bench::note("  serial   : %8.1f ms", ms[0]);
   bench::note("  pipelined: %8.1f ms  (%.2fx, %.1f ms stalled)", ms[1],
               speedup, double(stall_ns) / 1e6);
+  bench::note("  per transform, ms: %8s %8s %8s %8s %8s", "wait",
+              "assemble", "compute", "pack", "wr stall");
+  for (int m = 0; m < 2; ++m)
+    bench::note("  %-16s  %8.2f %8.2f %8.2f %8.2f %8.2f",
+                m == 0 ? "serial" : "pipelined", split[m].wait,
+                split[m].assemble, split[m].compute, split[m].pack,
+                split[m].stall_write);
   bench::emit_json_fields("e12",
                           {{"serial_ms", ms[0]},
                            {"pipelined_ms", ms[1]},
                            {"pipeline_speedup", speedup},
-                           {"pipeline_stall_ms", double(stall_ns) / 1e6}});
+                           {"pipeline_stall_ms", double(stall_ns) / 1e6},
+                           {"pipelined_wait_ms", p.wait},
+                           {"pipelined_assemble_ms", p.assemble},
+                           {"pipelined_compute_ms", p.compute},
+                           {"pipelined_pack_ms", p.pack},
+                           {"pipelined_stall_write_ms", p.stall_write}});
   return 0;
 }
 
@@ -229,8 +263,8 @@ int main(int argc, char** argv) {
   }
 
   std::printf("\npipeline sweep (round-robin, 384 KiB budget):\n");
-  std::printf("%10s | %10s %12s %12s\n", "mode", "ms", "stall rd ms",
-              "stall wr ms");
+  std::printf("%10s | %8s | %8s %8s %8s %8s %8s\n", "mode", "ms",
+              "stall rd", "assemble", "compute", "pack", "stall wr");
   for (const bool pipeline : {false, true}) {
     auto re = make_disk_array(cluster, dir,
                               std::string("plA") + (pipeline ? "p" : "s"), N,
@@ -248,13 +282,10 @@ int main(int argc, char** argv) {
         fft::OutOfCoreOptions{.max_bytes = std::size_t{384} << 10,
                               .pipeline = pipeline});
     const double ms = t.millis();
-    std::printf("%10s | %10.1f %12.1f %12.1f\n",
-                pipeline ? "pipelined" : "serial", ms,
-                double(stats.pass1.stall_read_ns + stats.pass2.stall_read_ns) /
-                    1e6,
-                double(stats.pass1.stall_write_ns +
-                       stats.pass2.stall_write_ns) /
-                    1e6);
+    const Split sp = split_of(stats);
+    std::printf("%10s | %8.1f | %8.2f %8.2f %8.2f %8.2f %8.2f\n",
+                pipeline ? "pipelined" : "serial", ms, sp.wait, sp.assemble,
+                sp.compute, sp.pack, sp.stall_write);
     arr::destroy_block_storage(
         const_cast<arr::BlockStorage&>(re.storage()));
     arr::destroy_block_storage(
@@ -273,6 +304,8 @@ int main(int argc, char** argv) {
               "into many runs, not on bulk sequential slabs");
   bench::note("the double-buffered pipeline hides slab fetch and write-back "
               "behind the transform: stall time is what overlap could not "
-              "cover");
+              "cover; assemble and pack are the client's own copies between "
+              "pages and the slab buffer (the serial pass records no "
+              "stalls)");
   return 0;
 }

@@ -25,6 +25,7 @@
 #include <atomic>
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "array/block_storage.hpp"
@@ -77,10 +78,10 @@ void oopp_serialize(Ar& ar, RedistStats& s) {
 }
 
 /// Handle on an in-flight slice read: one batched read_arrays call per
-/// device is already on the wire when this is returned; get() performs
-/// the receive half and assembles the row-major subarray.  The overlap
-/// window between issue and get() is where the out-of-core pipeline
-/// hides its communication.
+/// device is already on the wire when this is returned; get_into()/get()
+/// perform the receive half and assemble the row-major subarray.  The
+/// overlap window between issue and the receive half is where the
+/// out-of-core pipeline hides its communication.
 class SliceReadFuture {
  public:
   SliceReadFuture() = default;
@@ -90,7 +91,18 @@ class SliceReadFuture {
   /// True while the receive half has not been performed yet.
   [[nodiscard]] bool valid() const { return !done_; }
 
-  /// Block for every device batch and assemble the subarray (once).
+  /// Block until every device batch has arrived, without assembling
+  /// anything.  Idempotent; the receive half then only copies.
+  void wait();
+
+  /// Block for every device batch and copy the subarray into caller
+  /// memory (once): element i of the row-major subarray goes to
+  /// out[i * step].  `out` must hold the domain's volume elements at that
+  /// stride and no whole stride more, so both lanes of an interleaved
+  /// complex buffer qualify at step 2.
+  void get_into(std::span<double> out, std::size_t step = 1);
+
+  /// get_into() a fresh buffer of domain.volume() doubles.
   [[nodiscard]] std::vector<double> get();
 
  private:
@@ -111,7 +123,8 @@ class SliceReadFuture {
 /// Handle on an in-flight slice write.  Fully covered pages are already
 /// on the wire (batched write_arrays per device) when this is returned;
 /// partially covered pages have their batched reads in flight and are
-/// read-modified-written inside get().  get() returns once every device
+/// read-modified-written inside get(), from copies of their overlap boxes
+/// the future took at issue.  get() returns once every device
 /// acknowledged — the write-behind half of the pipeline.
 ///
 /// During a redistribution the write lands at each page's target home;
@@ -132,28 +145,21 @@ class SliceWriteFuture {
 
  private:
   friend class Array;
-  /// Receive half against a borrowed subarray buffer; get() runs it
-  /// against the owned copy, Array::write against the caller's buffer
-  /// (which outlives the call, so no copy is needed).
-  void finish(const std::vector<double>& sub);
-  /// Mark the claimed pages moved (after finish's acks).
-  void commit();
   struct Piece {
-    std::int32_t index = 0;  // write-side slot
     Domain inter;
     index_t o1 = 0, o2 = 0, o3 = 0;
+    std::size_t offset = 0;  // of the overlap box's copy in overlaps_
   };
   struct RmwBatch {  // partially covered pages sharing a device pair
-    remote_ptr<storage::ArrayPageDevice> dev;        // read side
-    remote_ptr<storage::ArrayPageDevice> write_dev;  // write side
-    Future<std::vector<storage::ArrayPage>> fut;
+    remote_ptr<storage::ArrayPageDevice> write_dev;
+    Future<std::vector<storage::ArrayPage>> fut;  // the read half
     std::vector<Piece> pieces;
     std::vector<std::int32_t> indices;  // write-side slots
   };
   std::vector<Future<void>> writes_;
   std::vector<RmwBatch> rmw_;
-  std::vector<double> sub_;
-  Domain domain_;
+  /// Overlap boxes of the partially covered pages, each row-major.
+  std::vector<double> overlaps_;
   bool done_ = false;
   Array* owner_ = nullptr;       // set only when claims were taken
   std::vector<index_t> claimed_;  // linear pages this op must mark moved
@@ -201,14 +207,19 @@ class Array {
 
   /// Asynchronous slice read: issues ONE batched read_arrays call per
   /// device overlapping `domain` (all devices fetch concurrently) and
-  /// returns immediately; the future's get() assembles the subarray.
+  /// returns immediately; the future's get_into()/get() assembles the
+  /// subarray.
   [[nodiscard]] SliceReadFuture async_read_slice(const Domain& domain) const;
 
-  /// Asynchronous slice write: fully covered pages go out immediately as
-  /// one batched write_arrays call per device; partially covered pages
-  /// have their read half issued now and complete inside get().
-  [[nodiscard]] SliceWriteFuture async_write_slice(std::vector<double> subarray,
-                                                   const Domain& domain);
+  /// Asynchronous slice write of the row-major subarray whose element i
+  /// is src[i * step] (`src` sized as for SliceReadFuture::get_into).
+  /// `src` is read only before this returns.  Fully covered pages go out
+  /// immediately as one batched write_arrays call per device, packed
+  /// into a few shared stores; partially covered pages have their read
+  /// half issued now and complete inside get().
+  [[nodiscard]] SliceWriteFuture async_write_slice(std::span<const double> src,
+                                                   const Domain& domain,
+                                                   std::size_t step = 1);
 
   /// Sum over a domain, computed device-side: each overlapping page
   /// contributes a partial sum produced by its ArrayPageDevice process
@@ -349,23 +360,24 @@ class Array {
     std::uint64_t stall_ns = 0;
   };
 
-  /// Visit every page overlapping `domain`: fn(p1, p2, p3, addr, page_box)
-  /// where addr is the page's RESOLVED physical address (slot bank and
-  /// dual-map rule applied) and page_box its index box clipped to the
-  /// array bounds.  Resolution happens in one lock hold; fn runs without
-  /// the lock (it makes remote calls).
+  /// Visit every page overlapping `domain`: fn(p1, p2, p3, addr, dev,
+  /// page_box) where addr is the page's RESOLVED physical address (slot
+  /// bank and dual-map rule applied), dev the device it names and
+  /// page_box its index box clipped to the array bounds.  Resolution
+  /// happens in one lock hold; fn runs without the lock (it makes remote
+  /// calls).
   template <class Fn>
   void for_each_page(const Domain& domain, Fn&& fn) const;
 
   [[nodiscard]] Domain page_box(index_t p1, index_t p2, index_t p3) const;
   void validate_domain(const Domain& domain) const;
 
-  /// Bounds-checked device lookup — the only way page-map output may
-  /// index data_ (a hostile custom map cannot reach UB).  Returns a copy:
-  /// attach_device may grow data_ concurrently.
-  [[nodiscard]] remote_ptr<storage::ArrayPageDevice> device(
-      const PageAddress& addr) const;
-  [[nodiscard]] remote_ptr<storage::ArrayPageDevice> device(
+  /// Bounds-checked device lookup under mu_ — the only way page-map
+  /// output may index data_ (a hostile custom map cannot reach UB).  Made
+  /// in the same lock hold as the address it serves: detach_device
+  /// re-indexes data_, so a lookup after the lock is released could miss
+  /// or pick another device.  Returns a copy.
+  [[nodiscard]] remote_ptr<storage::ArrayPageDevice> device_locked(
       std::int32_t device_id) const;
 
   // Resolution under mu_.
@@ -382,6 +394,7 @@ class Array {
     index_t p1 = 0, p2 = 0, p3 = 0, lin = 0;
     PageAddress read_addr{};
     PageAddress write_addr{};
+    remote_ptr<storage::ArrayPageDevice> read_dev, write_dev;
     bool claimed = false;
   };
 
@@ -398,13 +411,6 @@ class Array {
 
   RedistStats redistribute_impl(PageMapSpec target, std::int32_t drop,
                                 RedistOptions opts);
-
-  /// Send half of a slice write against a borrowed buffer: fully covered
-  /// pages go out batched per device, RMW reads are issued.  The returned
-  /// future's sub_ is left empty — the caller either moves the buffer in
-  /// (async_write_slice) or finishes against the borrow (write).
-  [[nodiscard]] SliceWriteFuture build_write_slice(
-      const std::vector<double>& subarray, const Domain& domain);
 
   Extents3 n_{};     // array extents N1,N2,N3
   Extents3 b_{};     // page block extents n1,n2,n3

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <optional>
+#include <span>
 #include <utility>
 
 #include "fft/fft3d.hpp"
@@ -24,22 +25,15 @@ index_t slab_rows(std::size_t max_bytes, index_t row_elems, index_t total) {
   return std::clamp<index_t>(rows, 1, total);
 }
 
-std::vector<cplx> fuse(const std::vector<double>& re,
-                       const std::vector<double>& im) {
-  OOPP_CHECK(re.size() == im.size());
-  std::vector<cplx> out(re.size());
-  for (std::size_t i = 0; i < re.size(); ++i) out[i] = cplx(re[i], im[i]);
-  return out;
+/// The real (part 0) or imaginary (part 1) parts of `buf` as doubles two
+/// apart: std::complex<double> is layout-compatible with double[2].
+std::span<double> lane(std::vector<cplx>& buf, std::size_t part) {
+  return {reinterpret_cast<double*>(buf.data()) + part,
+          2 * buf.size() - part};
 }
 
-void split(const std::vector<cplx>& buf, std::vector<double>& re,
-           std::vector<double>& im) {
-  re.resize(buf.size());
-  im.resize(buf.size());
-  for (std::size_t i = 0; i < buf.size(); ++i) {
-    re[i] = buf[i].real();
-    im[i] = buf[i].imag();
-  }
+std::uint64_t since(std::int64_t t0) {
+  return static_cast<std::uint64_t>(now_ns() - t0);
 }
 
 struct Slab {
@@ -64,32 +58,65 @@ std::vector<Slab> make_slabs(const Extents3& n, int axis, index_t rows) {
   return slabs;
 }
 
+/// Assemble slab `s`'s fetched pages into `buf`: the real Array's into
+/// the real parts, the imaginary Array's into the imaginary parts.
+/// Returns the time it took.
+std::uint64_t assemble(array::SliceReadFuture& re_in,
+                       array::SliceReadFuture& im_in, const Slab& s,
+                       std::vector<cplx>& buf) {
+  const std::int64_t t0 = now_ns();
+  buf.resize(static_cast<std::size_t>(s.dom.volume()));
+  re_in.get_into(lane(buf, 0), 2);
+  im_in.get_into(lane(buf, 1), 2);
+  return since(t0);
+}
+
+/// Transform the assembled slab in place and count it.
+template <class Transform>
+void compute(Transform& transform, const Slab& s, std::vector<cplx>& buf,
+             PassStats& stats) {
+  const std::int64_t t0 = now_ns();
+  transform(buf, s.local);
+  stats.compute_ns += since(t0);
+  ++stats.slabs;
+  stats.elements_read += buf.size();
+  stats.elements_written += buf.size();
+}
+
 /// One pass, strict paper order: read slab, transform, write back, next.
+/// Each of the four slice calls completes before the next is issued.
 template <class Transform>
 void run_pass_serial(array::Array& re, array::Array& im,
-                     const std::vector<Slab>& slabs, Transform&& transform,
-                     PassStats& stats) {
-  std::vector<double> re_buf, im_buf;
+                     const std::vector<Slab>& slabs, std::vector<cplx>& buf,
+                     Transform&& transform, PassStats& stats) {
   for (const Slab& s : slabs) {
-    auto buf = fuse(re.read(s.dom), im.read(s.dom));
-    transform(buf, s.local);
-    split(buf, re_buf, im_buf);
-    re.write(re_buf, s.dom);
-    im.write(im_buf, s.dom);
-    ++stats.slabs;
-    stats.elements_read += buf.size();
-    stats.elements_written += buf.size();
+    auto re_in = re.async_read_slice(s.dom);
+    re_in.wait();
+    auto im_in = im.async_read_slice(s.dom);
+    im_in.wait();
+    stats.assemble_ns += assemble(re_in, im_in, s, buf);
+    compute(transform, s, buf, stats);
+    std::int64_t t0 = now_ns();
+    auto re_out = re.async_write_slice(lane(buf, 0), s.dom, 2);
+    stats.pack_ns += since(t0);
+    re_out.get();
+    t0 = now_ns();
+    auto im_out = im.async_write_slice(lane(buf, 1), s.dom, 2);
+    stats.pack_ns += since(t0);
+    im_out.get();
   }
 }
 
 /// One pass, double-buffered: prefetch slab k+1 while transforming slab k
 /// while slab k-1 drains back to the devices.  At most one read and one
-/// write slab are in flight beside the compute slab, so three slabs are
-/// live at once (the caller sizes them from a third of the budget).
+/// write slab are in flight beside the slab buffer, so three slabs' bytes
+/// are live at once (the caller sizes them from a third of the budget).
+/// Slab k's write pages are packed from the buffer when its write is
+/// issued, which frees the buffer for slab k+1.
 template <class Transform>
 void run_pass_pipelined(array::Array& re, array::Array& im,
-                        const std::vector<Slab>& slabs, Transform&& transform,
-                        PassStats& stats) {
+                        const std::vector<Slab>& slabs, std::vector<cplx>& buf,
+                        Transform&& transform, PassStats& stats) {
   using ReadPair = std::pair<array::SliceReadFuture, array::SliceReadFuture>;
   using WritePair =
       std::pair<array::SliceWriteFuture, array::SliceWriteFuture>;
@@ -97,6 +124,8 @@ void run_pass_pipelined(array::Array& re, array::Array& im,
   auto& scope = telemetry::Metrics::scope_for("fft.pipeline");
   static auto& stall_read_h = scope.histogram("stall_read_ns");
   static auto& stall_write_h = scope.histogram("stall_write_ns");
+  static auto& assemble_h = scope.histogram("assemble_ns");
+  static auto& pack_h = scope.histogram("pack_ns");
   static auto& slabs_ctr = scope.counter("slabs");
 
   std::optional<ReadPair> cur_read;
@@ -113,19 +142,20 @@ void run_pass_pipelined(array::Array& re, array::Array& im,
       next_read.emplace(re.async_read_slice(slabs[k + 1].dom),
                         im.async_read_slice(slabs[k + 1].dom));
 
-    // Receive half of slab k: time blocked here is the read stall — zero
-    // when the prefetch fully hid the fetch behind slab k-1's compute.
+    // Slab k's fetches: time blocked here is the read stall — zero when
+    // the prefetch fully hid them behind slab k-1's work.
     std::int64_t t0 = now_ns();
-    std::vector<double> re_in = cur_read->first.get();
-    std::vector<double> im_in = cur_read->second.get();
-    const std::uint64_t rstall = static_cast<std::uint64_t>(now_ns() - t0);
+    cur_read->first.wait();
+    cur_read->second.wait();
+    const std::uint64_t rstall = since(t0);
     stats.stall_read_ns += rstall;
     stall_read_h.record(rstall);
 
-    auto buf = fuse(re_in, im_in);
-    transform(buf, s.local);
-    std::vector<double> re_out, im_out;
-    split(buf, re_out, im_out);
+    const std::uint64_t assembled =
+        assemble(cur_read->first, cur_read->second, s, buf);
+    stats.assemble_ns += assembled;
+    assemble_h.record(assembled);
+    compute(transform, s, buf, stats);
 
     // Bound the write-behind: slab k-1 must be on disk before slab k's
     // write is issued (also keeps RMW boundary pages race-free — at most
@@ -135,25 +165,25 @@ void run_pass_pipelined(array::Array& re, array::Array& im,
       prev_write->first.get();
       prev_write->second.get();
     }
-    const std::uint64_t wstall = static_cast<std::uint64_t>(now_ns() - t0);
+    const std::uint64_t wstall = since(t0);
     stats.stall_write_ns += wstall;
     stall_write_h.record(wstall);
 
-    prev_write.emplace(re.async_write_slice(std::move(re_out), s.dom),
-                       im.async_write_slice(std::move(im_out), s.dom));
+    t0 = now_ns();
+    prev_write.emplace(re.async_write_slice(lane(buf, 0), s.dom, 2),
+                       im.async_write_slice(lane(buf, 1), s.dom, 2));
+    const std::uint64_t packed = since(t0);
+    stats.pack_ns += packed;
+    pack_h.record(packed);
     cur_read = std::move(next_read);
-
-    ++stats.slabs;
     slabs_ctr.add(1);
-    stats.elements_read += buf.size();
-    stats.elements_written += buf.size();
   }
 
   if (prev_write) {
     const std::int64_t t0 = now_ns();
     prev_write->first.get();
     prev_write->second.get();
-    const std::uint64_t wstall = static_cast<std::uint64_t>(now_ns() - t0);
+    const std::uint64_t wstall = since(t0);
     stats.stall_write_ns += wstall;
     stall_write_h.record(wstall);
   }
@@ -173,29 +203,35 @@ OutOfCoreStats fft3d_out_of_core(array::Array& re, array::Array& im,
   // write-behind), so each gets a third of the budget.
   const std::size_t budget =
       options.pipeline ? options.max_bytes / 3 : options.max_bytes;
-
-  // -- pass 1: axis-0 slabs, transform axes 1 and 2 -------------------------
   const auto pass1 =
       make_slabs(n, 0, slab_rows(budget, n.n2 * n.n3, n.n1));
-  auto transform1 = [sign](std::vector<cplx>& buf, const Extents3& local) {
-    fft3d_axis(buf, local, 2, sign);
-    fft3d_axis(buf, local, 1, sign);
-  };
-  if (options.pipeline)
-    run_pass_pipelined(re, im, pass1, transform1, stats.pass1);
-  else
-    run_pass_serial(re, im, pass1, transform1, stats.pass1);
-
-  // -- pass 2: axis-1 slabs, transform axis 0 --------------------------------
   const auto pass2 =
       make_slabs(n, 1, slab_rows(budget, n.n1 * n.n3, n.n2));
-  auto transform2 = [sign](std::vector<cplx>& buf, const Extents3& local) {
-    fft3d_axis(buf, local, 0, sign);
+
+  // The one slab buffer both passes assemble into, transform and write
+  // back from.
+  std::vector<cplx> buf;
+  buf.reserve(static_cast<std::size_t>(
+      std::max(pass1.front().dom.volume(), pass2.front().dom.volume())));
+
+  // -- pass 1: axis-0 slabs, transform axes 1 and 2 -------------------------
+  auto transform1 = [sign](std::vector<cplx>& slab, const Extents3& local) {
+    fft3d_axis(slab, local, 2, sign);
+    fft3d_axis(slab, local, 1, sign);
   };
   if (options.pipeline)
-    run_pass_pipelined(re, im, pass2, transform2, stats.pass2);
+    run_pass_pipelined(re, im, pass1, buf, transform1, stats.pass1);
   else
-    run_pass_serial(re, im, pass2, transform2, stats.pass2);
+    run_pass_serial(re, im, pass1, buf, transform1, stats.pass1);
+
+  // -- pass 2: axis-1 slabs, transform axis 0 --------------------------------
+  auto transform2 = [sign](std::vector<cplx>& slab, const Extents3& local) {
+    fft3d_axis(slab, local, 0, sign);
+  };
+  if (options.pipeline)
+    run_pass_pipelined(re, im, pass2, buf, transform2, stats.pass2);
+  else
+    run_pass_serial(re, im, pass2, buf, transform2, stats.pass2);
 
   return stats;
 }

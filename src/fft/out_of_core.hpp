@@ -5,7 +5,9 @@
 // across many page devices, where the whole array never fits in any one
 // machine's memory.  The transform runs in two bounded-memory passes over
 // the Array (the complex field travels as separate real and imaginary
-// Arrays of identical shape):
+// Arrays of identical shape; each slab is assembled straight into the
+// real and imaginary parts of one client buffer and written back from
+// them):
 //
 //   pass 1 — slabs along axis 0: read rows [i1, i1+c1), transform axes
 //             1 and 2 in memory, write back;
@@ -44,13 +46,18 @@ struct OutOfCoreOptions {
 /// Per-pass accounting.  Element counts are complex elements crossing the
 /// client (re+im pair = one element), split by direction; stall times are
 /// where the pipeline actually blocked — reads that out-ran the prefetch
-/// and write-behinds that were still draining.
+/// and write-behinds that were still draining (the serial pass records
+/// none).  The copy and compute times are the client's own work on each
+/// slab, in either mode.
 struct PassStats {
   index_t slabs = 0;
   std::uint64_t elements_read = 0;
   std::uint64_t elements_written = 0;
   std::uint64_t stall_read_ns = 0;   // blocked waiting for slab fetches
   std::uint64_t stall_write_ns = 0;  // blocked draining write-behind
+  std::uint64_t assemble_ns = 0;     // fetched pages into the slab buffer
+  std::uint64_t compute_ns = 0;      // transforming the slab buffer
+  std::uint64_t pack_ns = 0;         // slab buffer into write pages
 
   [[nodiscard]] std::uint64_t bytes_read() const {
     return elements_read * sizeof(cplx);

@@ -5,11 +5,14 @@
 // reference model under random domain operations.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
 #include <atomic>
 #include <filesystem>
+#include <memory>
 #include <numeric>
 #include <set>
+#include <span>
 #include <thread>
 
 #include "array/array.hpp"
@@ -416,6 +419,112 @@ TEST(Array, WrongBufferSizeRejected) {
   auto a = fx.make({4, 4, 4}, {2, 2, 2}, 2);
   EXPECT_THROW(a.write({1.0, 2.0}, arr::Domain(0, 1, 0, 1, 0, 1)),
                oopp::check_error);
+}
+
+// Two arrays assembled into the two lanes of one interleaved buffer, the
+// way the out-of-core FFT fills its complex slab: each lane holds exactly
+// what get() returns.
+TEST(Array, GetIntoFillsOneLaneOfAnInterleavedBuffer) {
+  ArrayFixture fx;
+  const Extents3 n{10, 9, 7};  // grid 3x3x2, clipped edge pages
+  auto re = fx.make(n, {4, 4, 4}, 4);
+  auto im = fx.make(n, {4, 4, 4}, 3);
+  const auto whole = arr::Domain::whole(n);
+  auto other = iota_buffer(whole.volume());
+  for (auto& x : other) x = -x;
+  re.write(iota_buffer(whole.volume()), whole);
+  im.write(other, whole);
+
+  const arr::Domain d(1, 9, 2, 7, 3, 7);
+  const auto v = static_cast<std::size_t>(d.volume());
+  std::vector<double> both(2 * v, 0.0);
+  auto re_in = re.async_read_slice(d);
+  auto im_in = im.async_read_slice(d);
+  re_in.wait();
+  re_in.wait();  // idempotent
+  EXPECT_TRUE(re_in.valid());
+  re_in.get_into(both, 2);
+  im_in.get_into(std::span<double>(both).subspan(1), 2);
+  EXPECT_FALSE(re_in.valid());
+
+  const auto re_sub = re.read(d);
+  const auto im_sub = im.read(d);
+  for (std::size_t i = 0; i < v; ++i) {
+    EXPECT_EQ(both[2 * i], re_sub[i]) << i;
+    EXPECT_EQ(both[2 * i + 1], im_sub[i]) << i;
+  }
+}
+
+// A slice write reads its source only while it is being issued: the
+// source may be overwritten and freed before get(), on fully covered
+// pages (packed at issue) and on partially covered ones (their overlap
+// boxes copied at issue, overlaid inside get()).
+TEST(Array, SliceWriteFromALaneKeepsTheValuesAtIssue) {
+  ArrayFixture fx;
+  const Extents3 n{10, 9, 7};
+  auto a = fx.make(n, {4, 4, 4}, 4);
+  const auto whole = arr::Domain::whole(n);
+  std::vector<double> model(static_cast<std::size_t>(whole.volume()), 0.5);
+  a.write(model, whole);
+
+  // Pages with p1 > 0 and p3 = 1 are fully covered (the last ones
+  // clipped by the array edge); every other touched page is partial.
+  const arr::Domain d(1, 10, 0, 9, 3, 7);
+  const auto v = static_cast<std::size_t>(d.volume());
+  auto src = std::make_unique<std::vector<double>>(2 * v);
+  for (std::size_t i = 0; i < v; ++i) {
+    (*src)[2 * i] = -1.0;
+    (*src)[2 * i + 1] = static_cast<double>(i) + 0.25;
+  }
+  auto w = a.async_write_slice(std::span<const double>(*src).subspan(1), d,
+                               2);
+  std::fill(src->begin(), src->end(), 99.0);
+  src.reset();
+  w.get();
+
+  for (index_t i1 = d.lo(0); i1 < d.hi(0); ++i1)
+    for (index_t i2 = d.lo(1); i2 < d.hi(1); ++i2)
+      for (index_t i3 = d.lo(2); i3 < d.hi(2); ++i3)
+        model[n.linear(i1, i2, i3)] =
+            static_cast<double>(d.local_offset(i1, i2, i3)) + 0.25;
+  EXPECT_EQ(a.read(whole), model);
+}
+
+// A slice buffer must hold the domain's elements at its step: one double
+// short of the last element is rejected before anything is received or
+// issued, and the read can still be received afterwards.
+TEST(Array, SliceSpanTooShortForStepRejected) {
+  ArrayFixture fx;
+  auto a = fx.make({4, 4, 4}, {2, 2, 2}, 2);
+  const arr::Domain d(0, 2, 0, 2, 0, 3);  // 12 elements
+  std::vector<double> shorter(22);         // step 2 needs 23 or 24
+  auto f = a.async_read_slice(d);
+  EXPECT_THROW(f.get_into(shorter, 2), oopp::check_error);
+  EXPECT_THROW(f.get_into(shorter, 0), oopp::check_error);
+  EXPECT_THROW((void)a.async_write_slice(shorter, d, 2), oopp::check_error);
+  EXPECT_TRUE(f.valid());
+  std::vector<double> fits(23);
+  f.get_into(fits, 2);
+  EXPECT_FALSE(f.valid());
+}
+
+// Page traffic of a partial write: one read per partially covered page
+// (its read-modify-write) and one write per touched page, whether the
+// write blocks or is issued as a slice.
+TEST(Array, PartialWriteCountsPageTraffic) {
+  ArrayFixture fx;
+  auto a = fx.make({8, 8, 8}, {4, 4, 4}, 3);
+  const arr::Domain d(1, 8, 0, 8, 2, 8);  // 2 of its 8 pages fully covered
+  const auto buf = iota_buffer(d.volume());
+  a.write(buf, d);
+  EXPECT_EQ(a.pages_read(), 6u);
+  EXPECT_EQ(a.pages_written(), 8u);
+  auto w = a.async_write_slice(buf, d);
+  w.get();
+  EXPECT_EQ(a.pages_read(), 12u);
+  EXPECT_EQ(a.pages_written(), 16u);
+  EXPECT_EQ(a.read(d), buf);
+  EXPECT_EQ(a.pages_read(), 20u);
 }
 
 TEST(Array, EveryLayoutGivesSameSemantics) {

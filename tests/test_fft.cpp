@@ -392,24 +392,27 @@ TEST(DistributedFftMisc, TransformReadsAndWritesDistributedArray) {
 }
 
 // §1's motivating computation: the FFT of an array that lives on disk and
-// never fits in the client's memory budget.
-class OutOfCoreFft : public ::testing::TestWithParam<std::size_t> {};
+// never fits in the client's memory budget.  An 8x6x10 field on 4x3x5
+// pages; the parameter is the client budget in bytes.
+class OutOfCoreFft : public ::testing::TestWithParam<std::size_t> {
+ protected:
+  static constexpr Extents3 e{8, 6, 10};
 
-TEST_P(OutOfCoreFft, MatchesInMemoryTransform) {
-  namespace arr = oopp::array;
-  Cluster cluster(4);
-  const auto dir = std::filesystem::temp_directory_path() /
-                   ("oopp-ooc-" + std::to_string(::getpid()) + "-" +
-                    std::to_string(GetParam()));
-  std::filesystem::create_directories(dir);
+  OutOfCoreFft()
+      : dir_(std::filesystem::temp_directory_path() /
+             ("oopp-ooc-" + std::to_string(::getpid()) + "-" +
+              std::to_string(GetParam()))) {
+    std::filesystem::create_directories(dir_);
+  }
+  ~OutOfCoreFft() override { std::filesystem::remove_all(dir_); }
 
-  const Extents3 e{8, 6, 10};
-  const Extents3 b{4, 3, 5};
-  const Extents3 grid{2, 2, 2};
-  const arr::PageMapSpec spec{arr::PageMapKind::kRoundRobin};
-  auto make_array = [&](const std::string& tag) {
+  oopp::array::Array make_array(const std::string& tag) {
+    namespace arr = oopp::array;
+    const Extents3 b{4, 3, 5};
+    const Extents3 grid{2, 2, 2};
+    const arr::PageMapSpec spec{arr::PageMapKind::kRoundRobin};
     arr::BlockStorageConfig cfg;
-    cfg.file_prefix = (dir / tag).string();
+    cfg.file_prefix = (dir_ / tag).string();
     cfg.devices = 4;
     cfg.pages_per_device =
         static_cast<std::int32_t>(spec.pages_per_device(grid, 4));
@@ -417,10 +420,18 @@ TEST_P(OutOfCoreFft, MatchesInMemoryTransform) {
     cfg.n2 = static_cast<int>(b.n2);
     cfg.n3 = static_cast<int>(b.n3);
     auto storage = arr::create_block_storage(cfg, [&](std::int32_t i) {
-      return static_cast<oopp::net::MachineId>(i % cluster.size());
+      return static_cast<oopp::net::MachineId>(i % cluster_.size());
     });
     return arr::Array(e.n1, e.n2, e.n3, b.n1, b.n2, b.n3, storage, spec);
-  };
+  }
+
+ private:
+  Cluster cluster_{4};
+  std::filesystem::path dir_;
+};
+
+TEST_P(OutOfCoreFft, MatchesInMemoryTransform) {
+  namespace arr = oopp::array;
   auto re = make_array("re");
   auto im = make_array("im");
 
@@ -465,8 +476,42 @@ TEST_P(OutOfCoreFft, MatchesInMemoryTransform) {
   for (std::size_t i = 0; i < re_back.size(); ++i)
     rt = std::max(rt, std::abs(re_back[i] - re0[i]));
   EXPECT_LT(rt, 1e-10);
+}
 
-  std::filesystem::remove_all(dir);
+// The out-of-core transform computes exactly the in-memory one, in both
+// modes.  Budgets 1 and 2000 give one-row slabs over partially covered
+// pages, so the read-modify-write path runs too.
+TEST_P(OutOfCoreFft, BitIdenticalToInMemoryTransform) {
+  namespace arr = oopp::array;
+  oopp::Xoshiro256 rng(GetParam() + 7);
+  const auto whole = arr::Domain::whole(e);
+  std::vector<double> re0(static_cast<std::size_t>(e.volume()));
+  std::vector<double> im0(re0.size());
+  for (auto& x : re0) x = rng.uniform(-1, 1);
+  for (auto& x : im0) x = rng.uniform(-1, 1);
+  std::vector<cplx> expect(re0.size());
+  for (std::size_t i = 0; i < expect.size(); ++i)
+    expect[i] = cplx(re0[i], im0[i]);
+  fft::fft3d_inplace(expect, e, -1);
+
+  for (const bool pipeline : {true, false}) {
+    SCOPED_TRACE(pipeline ? "pipelined" : "serial");
+    const std::string mode = pipeline ? "p" : "s";
+    auto re = make_array("re" + mode);
+    auto im = make_array("im" + mode);
+    re.write(re0, whole);
+    im.write(im0, whole);
+    fft::fft3d_out_of_core(
+        re, im, -1,
+        fft::OutOfCoreOptions{.max_bytes = GetParam(), .pipeline = pipeline});
+    const auto re_out = re.read(whole);
+    const auto im_out = im.read(whole);
+    std::size_t mismatches = 0;
+    for (std::size_t i = 0; i < expect.size(); ++i)
+      if (re_out[i] != expect[i].real() || im_out[i] != expect[i].imag())
+        ++mismatches;
+    EXPECT_EQ(mismatches, 0u);
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(
