@@ -10,12 +10,16 @@
 // the members (~log2 N rounds).  The crossover in N and payload size is
 // the classic result; reproducing it validates both the collectives and
 // the egress model.
+//
+// Both forms run on one engine, coll::Communicator.  The flat forms are
+// the master's split loop over the group (set_member_data to broadcast,
+// member_data combined at the master to reduce); the tree forms are
+// bcast_members and reduce_members, whose result lands in member 0.
 #include <cstdio>
 #include <cstring>
 #include <vector>
 
 #include "bench_common.hpp"
-#include "coll/collectives.hpp"
 #include "coll/communicator.hpp"
 #include "core/oopp.hpp"
 #include "net/inproc_fabric.hpp"
@@ -23,8 +27,7 @@
 
 using namespace oopp;
 namespace coll = oopp::coll;
-using coll::CollWorker;
-using coll::Topology;
+using coll::Peer;
 
 namespace {
 
@@ -37,10 +40,22 @@ const char* algo_name(coll::Algo a) {
   }
 }
 
+/// The flat reduce: every member's vector gathered to the master and
+/// combined there.
+std::vector<double> flat_reduce(const coll::Communicator& comm,
+                                coll::ReduceKind kind) {
+  const auto parts = comm.member_data();
+  std::vector<double> acc = parts[0];
+  for (std::size_t i = 1; i < parts.size(); ++i)
+    for (std::size_t j = 0; j < acc.size(); ++j)
+      acc[j] = coll::combine_one(kind, acc[j], parts[i][j]);
+  return acc;
+}
+
 /// CI smoke: the single-pass allreduce (reduce-scatter + allgather) vs
-/// the segmented two-pass tree vs the legacy whole-vector all_reduce, at
-/// 64 KiB / 1 MiB / 8 MiB over 16 members — plus the N=64 group-setup
-/// win (tree wiring vs the old flat O(N^2) loop).
+/// the segmented two-pass tree at 64 KiB / 1 MiB / 8 MiB over 16 members
+/// — plus the N=64 group-setup win (tree wiring vs wiring every member
+/// from the master, an O(N^2)-byte loop).
 ///
 /// The fixture is built over a free network; the E11 NIC model is dialed
 /// in only for the measured sections (set_cost_model), with the port at
@@ -78,16 +93,13 @@ int run_smoke() {
   machines.reserve(n);
   for (int i = 0; i < n; ++i)
     machines.push_back(static_cast<net::MachineId>(i));
-  auto group = coll::make_group<double>(
-      n, [](int i) { return static_cast<net::MachineId>(i); });
   auto comm =
       coll::Communicator::on_machines(machines, coll::CommunicatorOptions{model});
 
   std::vector<std::pair<std::string, double>> fields;
-  std::printf("\nallreduce, %d members:\n%8s | %10s %12s %12s | %8s\n",
-              n, "payload", "legacy ms", "two-pass ms", "single ms",
-              "speedup");
-  std::printf("---------+------------------------------------+---------\n");
+  std::printf("\nallreduce, %d members:\n%8s | %12s %12s | %8s\n", n,
+              "payload", "two-pass ms", "single ms", "speedup");
+  std::printf("---------+---------------------------+---------\n");
 
   struct Row {
     const char* tag;
@@ -98,21 +110,12 @@ int run_smoke() {
                          Row{"8m", 1'048'576, 1}}) {
     const std::vector<double> payload(row.len, 1.25);
     // Stage the member-resident vectors while the network is free.
-    for (int i = 0; i < n; ++i)
-      group[static_cast<std::size_t>(i)]
-          .call<&CollWorker<double>::set_data>(payload);
     comm.set_member_data(
         std::vector<std::vector<double>>(static_cast<std::size_t>(n),
                                          payload));
 
     fabric->set_cost_model(model);
-    // Legacy API: whole-vector tree reduce to the master + tree bcast.
-    const double legacy_ms =
-        bench::median_seconds(row.reps, [&] {
-          (void)coll::all_reduce(group, coll::ReduceKind::kSum,
-                                 Topology::kTree);
-        }) * 1e3;
-    // New segmented two-pass (reduce + bcast trees, pipelined segments).
+    // Segmented two-pass (reduce + bcast trees, pipelined segments).
     const double twopass_ms =
         bench::median_seconds(row.reps, [&] {
           (void)comm.allreduce_members(coll::ReduceKind::kSum,
@@ -127,10 +130,9 @@ int run_smoke() {
         }) * 1e3;
     fabric->set_cost_model(net::CostModel::zero());
 
-    std::printf("%8s | %10.1f %12.1f %12.1f | %7.2fx  (%s)\n", row.tag,
-                legacy_ms, twopass_ms, single_ms, twopass_ms / single_ms,
+    std::printf("%8s | %12.1f %12.1f | %7.2fx  (%s)\n", row.tag,
+                twopass_ms, single_ms, twopass_ms / single_ms,
                 algo_name(used));
-    fields.emplace_back(std::string("legacy_") + row.tag + "_ms", legacy_ms);
     fields.emplace_back(std::string("twopass_") + row.tag + "_ms",
                         twopass_ms);
     fields.emplace_back(std::string("single_") + row.tag + "_ms", single_ms);
@@ -142,7 +144,7 @@ int run_smoke() {
   // as the fixed serialize/sum/memcpy work, compressing the ratio; at
   // the real port both algorithms are bandwidth-dominated and the
   // ~2*log2(N)*B vs ~2B per-NIC byte counts show through.  Two runs
-  // (one per algorithm), no legacy, so the section stays CI-sized.
+  // (one per algorithm), so the section stays CI-sized.
   {
     const std::size_t len = 1'048'576;  // 8 MiB of doubles
     const std::vector<double> payload(len, 1.25);
@@ -173,26 +175,29 @@ int run_smoke() {
                         gate_twopass_ms / gate_single_ms);
   }
   comm.destroy();
-  group.destroy_all();
 
-  // Group setup at N=64: the old flat wiring pushes N serialized group
-  // copies (O(N^2) bytes) through the master's egress port; the tree
-  // wiring injects one copy and lets the members fan it out.
+  // Group setup at N=64.  Flat: the master wires every member itself —
+  // a span of 1 forwards nothing — so N serialized group copies (O(N^2)
+  // bytes) leave through its egress port.  Tree: the master wires member
+  // 0 once and the members fan the group out along the binomial tree.
   const int big = 64;
-  ProcessGroup<CollWorker<double>> flat_g, tree_g;
+  ProcessGroup<Peer> flat_g, tree_g;
   for (int i = 0; i < big; ++i) {
     const auto m = static_cast<net::MachineId>(i % opts.machines);
-    flat_g.push_back(make_remote<CollWorker<double>>(m, i));
-    tree_g.push_back(make_remote<CollWorker<double>>(m, i));
+    flat_g.push_back(make_remote<Peer>(m, i));
+    tree_g.push_back(make_remote<Peer>(m, i));
   }
+  const auto hints = coll::CostHints::from(model);
+  const coll::Wiring flat_w{big, flat_g, hints};
+  const coll::Wiring tree_w{big, tree_g, hints};
   fabric->set_cost_model(model);
   Timer tf;
   for (int i = 0; i < big; ++i)
-    flat_g[static_cast<std::size_t>(i)]
-        .call<&CollWorker<double>::set_group>(big, flat_g);
+    flat_g[static_cast<std::size_t>(i)].call<&Peer::wire>(
+        std::int64_t{i}, std::int64_t{1}, flat_w);
   const double setup_flat_ms = tf.millis();
   Timer tt;
-  tree_g[0].call<&CollWorker<double>::wire_group>(0, big, big, tree_g);
+  tree_g[0].call<&Peer::wire>(std::int64_t{0}, std::int64_t{big}, tree_w);
   const double setup_tree_ms = tt.millis();
   fabric->set_cost_model(net::CostModel::zero());
   flat_g.destroy_all();
@@ -240,55 +245,63 @@ int main(int argc, char** argv) {
   std::printf("\npayload: %zu doubles (%.0f KiB)\n", kLen,
               kLen * sizeof(double) / 1024.0);
 
+  auto group_of = [&](int n) {
+    std::vector<net::MachineId> machines;
+    for (int i = 0; i < n; ++i)
+      machines.push_back(static_cast<net::MachineId>(i % cluster.size()));
+    return coll::Communicator::on_machines(
+        machines, coll::CommunicatorOptions{opts.cost});
+  };
+  const auto len = static_cast<std::int64_t>(kLen);
+
   std::printf("\nbroadcast:\n%4s | %12s %12s | %8s\n", "N", "flat ms",
               "tree ms", "ratio");
   std::printf("-----+---------------------------+---------\n");
   for (int n : {2, 4, 8, 16, 32}) {
-    auto group = coll::make_group<double>(n, [&](int i) {
-      return static_cast<net::MachineId>(i % cluster.size());
-    });
+    auto comm = group_of(n);
+    const std::vector<std::vector<double>> copies(
+        static_cast<std::size_t>(n), payload);
+    // Flat: the master sends every member its copy.
     const double flat_ms = bench::median_seconds(3, [&] {
-                             coll::broadcast(group, 0, payload,
-                                             Topology::kFlat);
+                             comm.set_member_data(copies);
                            }) * 1e3;
+    // Tree: member 0 (holding the payload) forwards it down the tree.
     const double tree_ms = bench::median_seconds(3, [&] {
-                             coll::broadcast(group, 0, payload,
-                                             Topology::kTree);
+                             comm.bcast_members(len);
                            }) * 1e3;
     std::printf("%4d | %12.2f %12.2f | %7.2fx\n", n, flat_ms, tree_ms,
                 flat_ms / tree_ms);
-    group.destroy_all();
+    comm.destroy();
   }
 
   std::printf("\nreduce (sum):\n%4s | %12s %12s | %8s\n", "N", "flat ms",
               "tree ms", "ratio");
   std::printf("-----+---------------------------+---------\n");
   for (int n : {2, 4, 8, 16, 32}) {
-    auto group = coll::make_group<double>(n, [&](int i) {
-      return static_cast<net::MachineId>(i % cluster.size());
-    });
-    coll::broadcast(group, 0, payload, Topology::kTree);  // fill data
+    auto comm = group_of(n);
+    comm.set_member_data(std::vector<std::vector<double>>(
+        static_cast<std::size_t>(n), payload));
+    // Flat: every member's vector travels to the master, which combines.
     const double flat_ms = bench::median_seconds(3, [&] {
-                             (void)coll::reduce(group, 0,
-                                                coll::ReduceKind::kSum,
-                                                Topology::kFlat);
+                             (void)flat_reduce(comm, coll::ReduceKind::kSum);
                            }) * 1e3;
+    // Tree: partials combine member-to-member; the sum lands in member 0.
     const double tree_ms = bench::median_seconds(3, [&] {
-                             (void)coll::reduce(group, 0,
-                                                coll::ReduceKind::kSum,
-                                                Topology::kTree);
+                             comm.reduce_members(coll::ReduceKind::kSum, len);
                            }) * 1e3;
     std::printf("%4d | %12.2f %12.2f | %7.2fx\n", n, flat_ms, tree_ms,
                 flat_ms / tree_ms);
-    group.destroy_all();
+    comm.destroy();
   }
 
   std::printf("\nshape checks:\n");
-  bench::note("flat grows ~linearly in N (root's NIC carries N payload "
-              "copies); tree grows ~log2(N)");
-  bench::note("crossover near N=8: below it the tree's extra hop latency "
-              "dominates, above it the ratio widens (the classic result)");
+  bench::note("flat grows ~linearly in N (the master's NIC carries N "
+              "payload copies); tree grows ~log2(N)");
+  bench::note("the tree is segmented under the cost hints, so a hop's "
+              "egress overlaps the next hop's ingress: it can win from "
+              "N=2, and the ratio widens with N");
   bench::note("reduce mirrors broadcast: flat concentrates N inbound "
-              "payloads at the root's ingress port");
+              "payloads at the master's ingress port; the tree's sum "
+              "stays in member 0");
   return 0;
 }

@@ -1,10 +1,11 @@
-// Bandwidth-optimal collectives and distributed BLAS kernels.
+// Collectives over process groups, and distributed BLAS kernels.
 //
-// collectives.hpp builds the MPI-style collectives as nested remote method
-// executions: correct, but every algorithm moves the *whole* vector along
-// every tree edge, so a B-byte allreduce costs ~2·log2(N)·B bytes on the
-// critical path.  This module adds the bandwidth-optimal forms the HPC
-// literature settled on, expressed in the same object style:
+// The paper's conclusion claims the framework has the expressive power of
+// the established models; this module makes that concrete by building the
+// MPI-style collectives purely out of objects executing methods on each
+// other.  Each group member is a Peer; the master drives the group through
+// a Communicator.  Broadcast and reduce run along a segmented binomial
+// tree; allreduce picks one of the forms the HPC literature settled on:
 //
 //   ring      — reduce-scatter + allgather around a ring: 2·(N-1) messages
 //               per member but only ~2·B·(N-1)/N bytes through any NIC —
@@ -13,11 +14,16 @@
 //               (allgather): log2(N) rounds, ~2·B bytes per member; the
 //               large-payload winner when N is a power of two.
 //   two-pass  — the classic binomial reduce-then-broadcast, kept for tiny
-//               payloads (latency-bound) but now *segmented*: the payload
-//               is chunked so hop k+1's send overlaps hop k's receive.
+//               payloads (latency-bound) and *segmented*: the payload is
+//               chunked so hop k+1's send overlaps hop k's receive.
 //
 // Selection between them is by payload size x member count under a
 // net::CostModel (CostHints below); Algo::kAuto picks the argmin.
+//
+// The flat forms need no member protocol: they are the master's §4 split
+// loop over the group — set_member_data for broadcast and scatter,
+// member_data for gather, and member_data combined at the master
+// (combine_one) for reduce.
 //
 // Payloads travel as ref-counted serial::Bytes slices end-to-end: a member
 // serializes a chunk once (Bytes::copy_raw at the source), every
@@ -39,17 +45,18 @@
 #include <cstdint>
 #include <cstring>
 #include <deque>
+#include <exception>
 #include <limits>
 #include <map>
 #include <memory>
 #include <optional>
+#include <string>
 #include <tuple>
 #include <unordered_set>
 #include <utility>
 #include <vector>
 
 #include "array/array.hpp"
-#include "coll/collectives.hpp"
 #include "core/group.hpp"
 #include "core/remote_ptr.hpp"
 #include "net/cost_model.hpp"
@@ -61,6 +68,28 @@
 #include "util/checked_mutex.hpp"
 
 namespace oopp::coll {
+
+enum class ReduceKind : std::uint8_t {
+  kSum = 0,
+  kProd = 1,
+  kMin = 2,
+  kMax = 3,
+};
+
+[[nodiscard]] inline double combine_one(ReduceKind k, double a, double b) {
+  switch (k) {
+    case ReduceKind::kSum:
+      return a + b;
+    case ReduceKind::kProd:
+      return a * b;
+    case ReduceKind::kMin:
+      return b < a ? b : a;
+    case ReduceKind::kMax:
+      return a < b ? b : a;
+  }
+  OOPP_CHECK_MSG(false, "unknown ReduceKind");
+  return a;
+}
 
 // ---------------------------------------------------------------------------
 // Cost model hooks
@@ -164,9 +193,9 @@ enum class Algo : std::uint8_t {
 // ---------------------------------------------------------------------------
 
 /// Where member `rel` sits in the binomial tree over [0, n): its parent
-/// (-1 for the root) and its children, largest subtree first.  Same
-/// recursive-halving schedule as CollWorker: the owner of [lo, lo+span)
-/// hands [lo+half, lo+span) to the member at lo+half.
+/// (-1 for the root) and its children, largest subtree first.  Recursive
+/// halving: the owner of [lo, lo+span) hands [lo+half, lo+span) to the
+/// member at lo+half.
 struct TreeShape {
   std::int32_t parent = -1;
   std::vector<std::int32_t> children;
@@ -218,9 +247,10 @@ void oopp_serialize(Ar& ar, Slab& s) {
 class Peer;
 
 /// Everything a member needs to participate, distributed down the
-/// binomial tree in one pass (N-1 messages total, none of them from the
-/// master after the first — the O(N^2)-bytes-from-one-NIC flat wiring
-/// was the setup bottleneck make_group had).
+/// binomial tree in one pass: N-1 messages in total, only the first from
+/// the master.  Wiring every member from the master instead pushes N
+/// copies of the group, O(N^2) bytes, through one egress port (E11
+/// measures both).
 struct Wiring {
   std::int32_t n = 0;
   ProcessGroup<Peer> group;
@@ -233,16 +263,20 @@ void oopp_serialize(Ar& ar, Wiring& w) {
 }
 
 /// A collective group member, colocated with one storage device when
-/// created by Communicator::over.  Unlike CollWorker (whose tree
-/// collectives nest synchronous calls), Peer members run *drivers*
+/// created by Communicator::over.  Members run each collective
 /// concurrently (SPMD style): every member executes the same reentrant
-/// driver method for one epoch, exchanging segments through put_seg.
+/// method for one epoch, exchanging segments through put_seg.
 ///
 /// Message-loss safety: segments are staged by (epoch, channel, segment,
 /// sender) and *overwrite* on duplicate delivery, so a retried put_seg
 /// (dedup miss after an eviction) is idempotent; finished epochs are
 /// remembered in a bounded window so a straggler retry of a completed
 /// collective is dropped instead of leaking a staging entry.
+///
+/// Failure: a member whose part of a collective throws closes the epoch
+/// on every other member (abort_epoch), so they stop waiting for its
+/// segments and fail too; the master sees the error instead of a wedged
+/// group.
 class Peer {
  public:
   explicit Peer(std::int32_t id) : id_(id) {}
@@ -270,8 +304,8 @@ class Peer {
                          .template async<&Peer::wire>(child, s - half, w));
       s = half;
     }
-    // Wiring completes as a whole or not at all (same contract as
-    // tree_bcast).  oopp-lint: allow(future-bare-get)
+    // Wiring completes as a whole or not at all.
+    // oopp-lint: allow(future-bare-get)
     for (auto& f : kids) f.get();
   }
 
@@ -294,6 +328,15 @@ class Peer {
     cv_.notify_all();
   }
 
+  /// Close `epoch` here because another member failed in it: this
+  /// member's call blocked in take_seg throws, and later segments of the
+  /// epoch are dropped on arrival.  Reentrant (the call it wakes is
+  /// blocked) and idempotent.
+  void abort_epoch(std::uint64_t epoch) {
+    gc_epoch(epoch);
+    cv_.notify_all();
+  }
+
   // -- allreduce drivers ----------------------------------------------------
 
   /// SPMD allreduce over every member's data() (all must be the same
@@ -302,34 +345,36 @@ class Peer {
   /// the algorithm actually run (identical on every member: selection is
   /// a pure function of size, membership and the shared hints).
   Algo allreduce(std::uint64_t epoch, ReduceKind kind, Algo algo) {
-    VecGuard guard(*this);
-    check_wired();
-    const std::size_t bytes = data_.size() * sizeof(double);
-    Algo chosen =
-        algo == Algo::kAuto ? choose_allreduce(bytes, n_, hints_) : algo;
-    if (chosen == Algo::kHalving && !is_pow2(n_)) chosen = Algo::kRing;
-    switch (chosen) {
-      case Algo::kRing:
-        counter_ring().add();
-        ring_allreduce(epoch, kind);
-        break;
-      case Algo::kHalving:
-        counter_halving().add();
-        halving_allreduce(epoch, kind);
-        break;
-      default:
-        chosen = Algo::kTwoPass;
-        counter_twopass().add();
-        {
-          const std::uint32_t nsegs = choose_segments(bytes, hints_);
-          counter_segments().add(nsegs);
-          reduce_tree(epoch, kind, nsegs);
-          bcast_tree(epoch, nsegs);
-        }
-        break;
-    }
-    gc_epoch(epoch);
-    return chosen;
+    return run_epoch(epoch, [&] {
+      VecGuard guard(*this);
+      check_wired();
+      const std::size_t bytes = data_.size() * sizeof(double);
+      Algo chosen =
+          algo == Algo::kAuto ? choose_allreduce(bytes, n_, hints_) : algo;
+      if (chosen == Algo::kHalving && !is_pow2(n_)) chosen = Algo::kRing;
+      switch (chosen) {
+        case Algo::kRing:
+          counter_ring().add();
+          ring_allreduce(epoch, kind);
+          break;
+        case Algo::kHalving:
+          counter_halving().add();
+          halving_allreduce(epoch, kind);
+          break;
+        default:
+          chosen = Algo::kTwoPass;
+          counter_twopass().add();
+          {
+            const std::uint32_t nsegs = choose_segments(bytes, hints_);
+            counter_segments().add(nsegs);
+            reduce_tree(epoch, kind, nsegs);
+            bcast_tree(epoch, nsegs);
+          }
+          break;
+      }
+      gc_epoch(epoch);
+      return chosen;
+    });
   }
 
   /// SPMD allreduce of one double through the binomial tree — the
@@ -337,46 +382,51 @@ class Peer {
   /// inline (below the splice threshold); the root's result is broadcast
   /// bit-identical, so every member returns the exact same double.
   double allreduce_scalar(std::uint64_t epoch, ReduceKind kind, double v) {
-    check_wired();
-    const TreeShape t = tree_shape(id_, n_);
-    double acc = v;
-    std::vector<Future<void>> sent;
-    for (std::int32_t c : t.children) {
-      const serial::Bytes got = take_seg(epoch, kChanRed, 0, c);
-      OOPP_CHECK(got.size() == sizeof(double));
-      double x = 0.0;
-      std::memcpy(&x, got.data(), sizeof(double));
-      acc = combine_one(kind, acc, x);
-    }
-    serial::Bytes res;
-    if (t.parent >= 0) {
-      sent.push_back(send_bytes(epoch, kChanRed, 0, t.parent,
-                                serial::Bytes::copy_raw(&acc, sizeof(double))));
-      res = take_seg(epoch, kChanBc, 0, t.parent);
-      OOPP_CHECK(res.size() == sizeof(double));
-      std::memcpy(&acc, res.data(), sizeof(double));
-    } else {
-      res = serial::Bytes::copy_raw(&acc, sizeof(double));
-    }
-    for (std::int32_t c : t.children)
-      sent.push_back(send_bytes(epoch, kChanBc, 0, c, res));
-    join(sent);
-    gc_epoch(epoch);
-    return acc;
+    return run_epoch(epoch, [&] {
+      check_wired();
+      const TreeShape t = tree_shape(id_, n_);
+      double acc = v;
+      std::vector<Future<void>> sent;
+      for (std::int32_t c : t.children) {
+        const serial::Bytes got = take_seg(epoch, kChanRed, 0, c);
+        OOPP_CHECK(got.size() == sizeof(double));
+        double x = 0.0;
+        std::memcpy(&x, got.data(), sizeof(double));
+        acc = combine_one(kind, acc, x);
+      }
+      serial::Bytes res;
+      if (t.parent >= 0) {
+        sent.push_back(
+            send_bytes(epoch, kChanRed, 0, t.parent,
+                       serial::Bytes::copy_raw(&acc, sizeof(double))));
+        res = take_seg(epoch, kChanBc, 0, t.parent);
+        OOPP_CHECK(res.size() == sizeof(double));
+        std::memcpy(&acc, res.data(), sizeof(double));
+      } else {
+        res = serial::Bytes::copy_raw(&acc, sizeof(double));
+      }
+      for (std::int32_t c : t.children)
+        sent.push_back(send_bytes(epoch, kChanBc, 0, c, res));
+      join(sent);
+      gc_epoch(epoch);
+      return acc;
+    });
   }
 
   /// Segmented pipelined broadcast of member 0's data() to every member.
   void bcast_vec(std::uint64_t epoch, std::int64_t len, std::uint32_t nsegs) {
-    VecGuard guard(*this);
-    check_wired();
-    if (id_ == 0) {
-      OOPP_CHECK(static_cast<std::int64_t>(data_.size()) == len);
-    } else {
-      data_.assign(static_cast<std::size_t>(len), 0.0);
-    }
-    counter_segments().add(nsegs);
-    bcast_tree(epoch, nsegs);
-    gc_epoch(epoch);
+    run_epoch(epoch, [&] {
+      VecGuard guard(*this);
+      check_wired();
+      if (id_ == 0) {
+        OOPP_CHECK(static_cast<std::int64_t>(data_.size()) == len);
+      } else {
+        data_.assign(static_cast<std::size_t>(len), 0.0);
+      }
+      counter_segments().add(nsegs);
+      bcast_tree(epoch, nsegs);
+      gc_epoch(epoch);
+    });
   }
 
   /// Segmented pipelined reduce: the combined vector lands in member 0's
@@ -384,11 +434,13 @@ class Peer {
   /// (interior tree members combine their children's segments in place;
   /// leaves are untouched).
   void reduce_vec(std::uint64_t epoch, ReduceKind kind, std::uint32_t nsegs) {
-    VecGuard guard(*this);
-    check_wired();
-    counter_segments().add(nsegs);
-    reduce_tree(epoch, kind, nsegs);
-    gc_epoch(epoch);
+    run_epoch(epoch, [&] {
+      VecGuard guard(*this);
+      check_wired();
+      counter_segments().add(nsegs);
+      reduce_tree(epoch, kind, nsegs);
+      gc_epoch(epoch);
+    });
   }
 
   // -- BLAS kernels (compute at the data) -----------------------------------
@@ -397,20 +449,24 @@ class Peer {
   /// through the scalar tree — only 8 bytes per member cross the network
   /// after the device-local multiply-adds.
   double dot_slab(std::uint64_t epoch, const Slab& x, const Slab& y) {
-    const std::vector<double> xs = read_slab(x);
-    const std::vector<double> ys = read_slab(y);
-    OOPP_CHECK_MSG(xs.size() == ys.size(), "dot: slab lengths differ");
-    double acc = 0.0;
-    for (std::size_t i = 0; i < xs.size(); ++i) acc += xs[i] * ys[i];
-    return allreduce_scalar(epoch, ReduceKind::kSum, acc);
+    return run_epoch(epoch, [&] {
+      const std::vector<double> xs = read_slab(x);
+      const std::vector<double> ys = read_slab(y);
+      OOPP_CHECK_MSG(xs.size() == ys.size(), "dot: slab lengths differ");
+      double acc = 0.0;
+      for (std::size_t i = 0; i < xs.size(); ++i) acc += xs[i] * ys[i];
+      return allreduce_scalar(epoch, ReduceKind::kSum, acc);
+    });
   }
 
   /// ||x||^2 partial on this member's slab, summed across members.
   double norm2sq_slab(std::uint64_t epoch, const Slab& x) {
-    const std::vector<double> xs = read_slab(x);
-    double acc = 0.0;
-    for (const double v : xs) acc += v * v;
-    return allreduce_scalar(epoch, ReduceKind::kSum, acc);
+    return run_epoch(epoch, [&] {
+      const std::vector<double> xs = read_slab(x);
+      double acc = 0.0;
+      for (const double v : xs) acc += v * v;
+      return allreduce_scalar(epoch, ReduceKind::kSum, acc);
+    });
   }
 
   /// y += a·x on this member's slabs.  Pure local I/O — no communication.
@@ -451,61 +507,63 @@ class Peer {
   void matvec_slab(std::uint64_t epoch, const Slab& a, const Slab& x,
                    const Slab& y, const std::vector<std::int64_t>& offsets,
                    bool reuse_a) {
-    check_wired();
-    OOPP_CHECK(static_cast<std::int32_t>(offsets.size()) == n_ + 1);
-    const std::vector<double> xloc = read_slab(x);
-    const std::int64_t ncols = offsets[static_cast<std::size_t>(n_)];
-    OOPP_CHECK(offsets[static_cast<std::size_t>(id_) + 1] -
-                   offsets[static_cast<std::size_t>(id_)] ==
-               static_cast<std::int64_t>(xloc.size()));
-    std::vector<double> xfull(static_cast<std::size_t>(ncols), 0.0);
-    if (!xloc.empty())
-      std::memcpy(xfull.data() + offsets[static_cast<std::size_t>(id_)],
-                  xloc.data(), xloc.size() * sizeof(double));
-    // Ring allgather of the variable-length x slabs.
-    const std::int32_t right = (id_ + 1) % n_;
-    const std::int32_t left = (id_ + n_ - 1) % n_;
-    std::vector<Future<void>> sent;
-    serial::Bytes carry;
-    for (std::int32_t s = 0; s < n_ - 1; ++s) {
-      if (s == 0)
-        carry = serial::Bytes::copy_raw(xloc.data(),
-                                        xloc.size() * sizeof(double));
-      sent.push_back(send_bytes(epoch, kChanAg,
-                                static_cast<std::uint32_t>(s), right, carry));
-      const std::int32_t origin = (id_ - s - 1 + 2 * n_) % n_;
-      carry = take_seg(epoch, kChanAg, static_cast<std::uint32_t>(s), left);
-      const std::int64_t cnt = offsets[static_cast<std::size_t>(origin) + 1] -
-                               offsets[static_cast<std::size_t>(origin)];
-      OOPP_CHECK(carry.size() ==
-                 static_cast<std::size_t>(cnt) * sizeof(double));
-      if (cnt > 0)
-        std::memcpy(xfull.data() + offsets[static_cast<std::size_t>(origin)],
-                    carry.data(), static_cast<std::size_t>(cnt) *
-                                      sizeof(double));
-    }
-    std::shared_ptr<const std::vector<double>> cached;
-    std::vector<double> fresh;
-    if (reuse_a)
-      cached = cached_matrix(a);
-    else
-      fresh = read_slab(a);
-    const std::vector<double>& av = reuse_a ? *cached : fresh;
-    OOPP_CHECK_MSG(a.n2 == ncols, "matvec: A page width != x length");
-    const std::int64_t rows =
-        ncols > 0 ? static_cast<std::int64_t>(av.size()) / ncols : 0;
-    OOPP_CHECK(y.elems == rows);
-    std::vector<double> yv(static_cast<std::size_t>(rows), 0.0);
-    for (std::int64_t r = 0; r < rows; ++r) {
-      double acc = 0.0;
-      const double* row = av.data() + r * ncols;
-      for (std::int64_t k = 0; k < ncols; ++k)
-        acc += row[k] * xfull[static_cast<std::size_t>(k)];
-      yv[static_cast<std::size_t>(r)] = acc;
-    }
-    write_slab(y, yv);
-    join(sent);
-    gc_epoch(epoch);
+    run_epoch(epoch, [&] {
+      check_wired();
+      OOPP_CHECK(static_cast<std::int32_t>(offsets.size()) == n_ + 1);
+      const std::vector<double> xloc = read_slab(x);
+      const std::int64_t ncols = offsets[static_cast<std::size_t>(n_)];
+      OOPP_CHECK(offsets[static_cast<std::size_t>(id_) + 1] -
+                     offsets[static_cast<std::size_t>(id_)] ==
+                 static_cast<std::int64_t>(xloc.size()));
+      std::vector<double> xfull(static_cast<std::size_t>(ncols), 0.0);
+      if (!xloc.empty())
+        std::memcpy(xfull.data() + offsets[static_cast<std::size_t>(id_)],
+                    xloc.data(), xloc.size() * sizeof(double));
+      // Ring allgather of the variable-length x slabs.
+      const std::int32_t right = (id_ + 1) % n_;
+      const std::int32_t left = (id_ + n_ - 1) % n_;
+      std::vector<Future<void>> sent;
+      serial::Bytes carry;
+      for (std::int32_t s = 0; s < n_ - 1; ++s) {
+        if (s == 0)
+          carry = serial::Bytes::copy_raw(xloc.data(),
+                                          xloc.size() * sizeof(double));
+        sent.push_back(send_bytes(epoch, kChanAg,
+                                  static_cast<std::uint32_t>(s), right, carry));
+        const std::int32_t origin = (id_ - s - 1 + 2 * n_) % n_;
+        carry = take_seg(epoch, kChanAg, static_cast<std::uint32_t>(s), left);
+        const std::int64_t cnt = offsets[static_cast<std::size_t>(origin) + 1] -
+                                 offsets[static_cast<std::size_t>(origin)];
+        OOPP_CHECK(carry.size() ==
+                   static_cast<std::size_t>(cnt) * sizeof(double));
+        if (cnt > 0)
+          std::memcpy(xfull.data() + offsets[static_cast<std::size_t>(origin)],
+                      carry.data(), static_cast<std::size_t>(cnt) *
+                                        sizeof(double));
+      }
+      std::shared_ptr<const std::vector<double>> cached;
+      std::vector<double> fresh;
+      if (reuse_a)
+        cached = cached_matrix(a);
+      else
+        fresh = read_slab(a);
+      const std::vector<double>& av = reuse_a ? *cached : fresh;
+      OOPP_CHECK_MSG(a.n2 == ncols, "matvec: A page width != x length");
+      const std::int64_t rows =
+          ncols > 0 ? static_cast<std::int64_t>(av.size()) / ncols : 0;
+      OOPP_CHECK(y.elems == rows);
+      std::vector<double> yv(static_cast<std::size_t>(rows), 0.0);
+      for (std::int64_t r = 0; r < rows; ++r) {
+        double acc = 0.0;
+        const double* row = av.data() + r * ncols;
+        for (std::int64_t k = 0; k < ncols; ++k)
+          acc += row[k] * xfull[static_cast<std::size_t>(k)];
+        yv[static_cast<std::size_t>(r)] = acc;
+      }
+      write_slab(y, yv);
+      join(sent);
+      gc_epoch(epoch);
+    });
   }
 
   /// Forget the resident matrix slab (call after rewriting the matrix
@@ -573,6 +631,30 @@ class Peer {
     OOPP_CHECK_MSG(n_ > 0, "wire the group before collectives");
   }
 
+  /// Run this member's part of collective `epoch`.  If it throws, the
+  /// epoch is closed here and on every other member before the error
+  /// goes back to the master, so no member keeps waiting for a segment
+  /// this one will never send.  A member that fails *because* the epoch
+  /// was aborted finds it already closed and tells no one.
+  template <class F>
+  auto run_epoch(std::uint64_t epoch, F&& body) -> decltype(body()) {
+    try {
+      return body();
+    } catch (...) {
+      if (gc_epoch(epoch)) {
+        std::vector<Future<void>> sent;
+        for (std::size_t i = 0; i < group_.size(); ++i)
+          if (static_cast<std::int32_t>(i) != id_)
+            sent.push_back(
+                group_[i].template async<&Peer::abort_epoch>(epoch));
+        // Only delivery is awaited: a member that cannot be told is
+        // unreachable, and this member's own error is the one to report.
+        for (auto& f : sent) f.wait();
+      }
+      throw;
+    }
+  }
+
   // -- telemetry (cached refs: lookup takes a lock) -------------------------
   static telemetry::Counter& counter_bytes() {
     static auto& c = telemetry::Metrics::scope_for("coll").counter(
@@ -632,13 +714,18 @@ class Peer {
                           static_cast<std::size_t>(hi - lo) * sizeof(double)));
   }
 
-  /// Block until the matching segment arrives, then claim it.
+  /// Block until the matching segment arrives, then claim it.  Throws if
+  /// the epoch is closed first: another member failed in it.
   serial::Bytes take_seg(std::uint64_t epoch, std::uint32_t chan,
                          std::uint32_t seg, std::int32_t from) {
     const Key k{epoch, chan, seg, from};
     std::unique_lock<util::CheckedMutex> lk(mu_);
-    cv_.wait(lk, [&] { return staging_.count(k) != 0; });
+    cv_.wait(lk, [&] {
+      return staging_.count(k) != 0 || done_set_.count(epoch) != 0;
+    });
     auto it = staging_.find(k);
+    OOPP_CHECK_MSG(it != staging_.end(),
+                   "collective aborted: another member failed");
     serial::Bytes b = std::move(it->second);
     staging_.erase(it);
     return b;
@@ -647,8 +734,9 @@ class Peer {
   /// The collective is done on this member: drop any residual segments
   /// (stale retries re-staged mid-run) and remember the epoch so later
   /// stragglers are dropped on arrival.  Window-bounded — staging state
-  /// cannot grow without bound under sustained faults.
-  void gc_epoch(std::uint64_t epoch) {
+  /// cannot grow without bound under sustained faults.  Returns false if
+  /// the epoch was already closed.
+  bool gc_epoch(std::uint64_t epoch) {
     static constexpr std::size_t kDoneWindow = 128;
     std::unique_lock<util::CheckedMutex> lk(mu_);
     staging_.erase(
@@ -656,13 +744,13 @@ class Peer {
             Key{epoch, 0, 0, std::numeric_limits<std::int32_t>::min()}),
         staging_.lower_bound(
             Key{epoch + 1, 0, 0, std::numeric_limits<std::int32_t>::min()}));
-    if (done_set_.insert(epoch).second) {
-      done_fifo_.push_back(epoch);
-      while (done_fifo_.size() > kDoneWindow) {
-        done_set_.erase(done_fifo_.front());
-        done_fifo_.pop_front();
-      }
+    if (!done_set_.insert(epoch).second) return false;
+    done_fifo_.push_back(epoch);
+    while (done_fifo_.size() > kDoneWindow) {
+      done_set_.erase(done_fifo_.front());
+      done_fifo_.pop_front();
     }
+    return true;
   }
 
   /// Collect the send futures off the critical path: put_seg never
@@ -909,6 +997,7 @@ struct oopp::rpc::class_def<oopp::coll::Peer> {
     // Everything below must run while the member's own driver is blocked
     // in take_seg — reentrant, off the per-object FIFO.
     b.template method<&P::put_seg>("put_seg", reentrant);
+    b.template method<&P::abort_epoch>("abort_epoch", reentrant);
     b.template method<&P::allreduce>("allreduce", reentrant);
     b.template method<&P::allreduce_scalar>("allreduce_scalar", reentrant);
     b.template method<&P::bcast_vec>("bcast_vec", reentrant);
@@ -1136,22 +1225,37 @@ class Communicator {
 
   std::uint64_t next_epoch() { return epoch_->fetch_add(1) + 1; }
 
+  /// An operation completes as a whole; a failed member fails the whole
+  /// collective.  Every member is waited for before the first failure is
+  /// rethrown, so no member is still in the failed collective when the
+  /// next operation starts.
   static void join(std::vector<Future<void>>& futs) {
-    // An operation completes as a whole; a failed member fails the
-    // whole collective.  oopp-lint: allow(future-bare-get)
-    for (auto& f : futs) f.get();
+    std::exception_ptr failed;
+    for (auto& f : futs) {
+      try {
+        f.get();  // oopp-lint: allow(future-bare-get)
+      } catch (...) {
+        if (!failed) failed = std::current_exception();
+      }
+    }
+    if (failed) std::rethrow_exception(failed);
   }
 
-  /// Every member returns the same value (the root's result travels to
-  /// every member bit-identical); still wait for all of them.
+  /// join() for collectives whose members all return the same value (the
+  /// root's result travels to every member bit-identical).
   template <class R>
   static R join_same(std::vector<Future<R>>& futs) {
     R out{};
-    // oopp-lint: allow(future-bare-get) — see join().
+    std::exception_ptr failed;
     for (std::size_t i = 0; i < futs.size(); ++i) {
-      R v = futs[i].get();
-      if (i == 0) out = v;
+      try {
+        R v = futs[i].get();  // oopp-lint: allow(future-bare-get)
+        if (i == 0) out = v;
+      } catch (...) {
+        if (!failed) failed = std::current_exception();
+      }
     }
+    if (failed) std::rethrow_exception(failed);
     return out;
   }
 

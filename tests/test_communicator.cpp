@@ -1,16 +1,22 @@
-// Bandwidth-optimal collectives and the Communicator BLAS layer: tree
-// shape and cost-model selection units, every allreduce algorithm checked
-// against a local model over a size sweep, segmented broadcast/reduce,
-// slab kernels against in-memory references, telemetry counters, faults
-// (5% message loss must yield exact results — never a silent wrong
-// answer), and concurrent scalar collectives on one group.
+// The collectives engine and the Communicator BLAS layer: tree shape,
+// reduction and cost-model selection units, every allreduce algorithm
+// checked against a local model over a size sweep, tree broadcast/reduce
+// checked against the flat forms over a sweep of group shapes, slab
+// kernels against in-memory references, telemetry counters, faults (5%
+// message loss must yield exact results — never a silent wrong answer; a
+// failing member must fail the collective, not wedge the group), and
+// concurrent scalar collectives on one group.
 #include <gtest/gtest.h>
 
 #include <chrono>
 #include <cmath>
 #include <cstdint>
+#include <cstdio>
+#include <cstdlib>
 #include <filesystem>
+#include <future>
 #include <memory>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -59,7 +65,7 @@ class TempDir {
 };
 
 // ---------------------------------------------------------------------------
-// Units: tree shape, algorithm selection, segmenting
+// Units: tree shape, reduction, algorithm selection, segmenting
 // ---------------------------------------------------------------------------
 
 TEST(CommUnit, TreeShapeIsConsistent) {
@@ -87,6 +93,13 @@ TEST(CommUnit, TreeShapeIsConsistent) {
     }
     EXPECT_EQ(edges, n - 1) << "a tree over n members has n-1 edges";
   }
+}
+
+TEST(CommUnit, CombineOne) {
+  EXPECT_EQ(coll::combine_one(ReduceKind::kSum, 2.0, 3.0), 5.0);
+  EXPECT_EQ(coll::combine_one(ReduceKind::kProd, 2.0, 3.0), 6.0);
+  EXPECT_EQ(coll::combine_one(ReduceKind::kMin, 2.0, 3.0), 2.0);
+  EXPECT_EQ(coll::combine_one(ReduceKind::kMax, 2.0, 3.0), 3.0);
 }
 
 TEST(CommUnit, ChooseAllreduceBySizeAndShape) {
@@ -236,37 +249,63 @@ TEST(Communicator, RepeatedAllreducesOnOneGroup) {
   comm.destroy();
 }
 
+/// Group shapes for the tree broadcast and reduce: every size up to 9 and
+/// a few larger irregular ones, each with one of the four reductions.
+struct Shape {
+  int n;
+  int len;
+  ReduceKind kind;
+};
+constexpr Shape kShapes[] = {
+    {1, 4, ReduceKind::kProd},  {2, 3, ReduceKind::kSum},
+    {3, 1, ReduceKind::kMax},   {4, 8, ReduceKind::kSum},
+    {5, 2, ReduceKind::kMin},   {6, 33, ReduceKind::kSum},
+    {7, 4, ReduceKind::kMax},   {8, 4, ReduceKind::kSum},
+    {9, 5, ReduceKind::kProd},  {13, 2, ReduceKind::kSum},
+    {16, 1, ReduceKind::kMax}};
+
 TEST(Communicator, BcastDeliversRootVector) {
   CommFixture fx;
-  auto comm = fx.comm(7);
-  std::vector<std::vector<double>> chunks(7);
-  for (int i = 0; i < 7; ++i)
-    chunks[static_cast<std::size_t>(i)] = {double(i), -double(i)};
-  chunks[0] = {3.25, -1.5, 2.0, 99.0};
-  comm.set_member_data(chunks);
-  comm.bcast_members(4);
-  for (const auto& v : comm.member_data())
-    EXPECT_EQ(v, (std::vector<double>{3.25, -1.5, 2.0, 99.0}));
-  comm.destroy();
+  for (const Shape& s : kShapes) {
+    SCOPED_TRACE("n=" + std::to_string(s.n));
+    auto comm = fx.comm(s.n);
+    // The other members hold vectors of another length, which the
+    // broadcast replaces.
+    auto chunks = random_chunks(s.n, 2, static_cast<std::uint64_t>(s.n));
+    chunks[0] = random_chunks(1, s.len, 100 + s.n)[0];
+    comm.set_member_data(chunks);
+    comm.bcast_members(s.len);
+    for (const auto& v : comm.member_data()) EXPECT_EQ(v, chunks[0]);
+    comm.destroy();
+  }
 }
 
 TEST(Communicator, ReduceLandsAtRootOnly) {
   CommFixture fx;
-  auto comm = fx.comm(6);
-  const auto data = random_chunks(6, 33, 13);
-  comm.set_member_data(data);
-  const auto ref = reduce_reference(data, ReduceKind::kSum);
-  comm.reduce_members(ReduceKind::kSum, 33);
-  const auto got = comm.member_data();
-  ASSERT_EQ(got[0].size(), ref.size());
-  for (std::size_t j = 0; j < ref.size(); ++j)
-    EXPECT_NEAR(got[0][j], ref[j], 1e-9);
-  // MPI semantics: non-root buffers are unspecified after a reduce
-  // (interior tree members combine in place) — leaves keep their data.
-  const coll::TreeShape leaf = coll::tree_shape(5, 6);
-  ASSERT_TRUE(leaf.children.empty());
-  EXPECT_EQ(got[5], data[5]);
-  comm.destroy();
+  for (const Shape& s : kShapes) {
+    SCOPED_TRACE("n=" + std::to_string(s.n));
+    auto comm = fx.comm(s.n);
+    const auto data = random_chunks(
+        s.n, s.len, static_cast<std::uint64_t>(s.n * 1009 + s.len));
+    comm.set_member_data(data);
+    // The flat reduce: every member's vector gathered to the master and
+    // combined there.
+    const auto flat = reduce_reference(comm.member_data(), s.kind);
+    comm.reduce_members(s.kind, s.len);
+    const auto got = comm.member_data();
+    ASSERT_EQ(got[0].size(), flat.size());
+    for (std::size_t j = 0; j < flat.size(); ++j)
+      EXPECT_NEAR(got[0][j], flat[j], 1e-9);
+    // MPI semantics: non-root buffers are unspecified after a reduce
+    // (interior tree members combine in place) — leaves keep their data.
+    for (int r = 1; r < s.n; ++r) {
+      if (coll::tree_shape(r, s.n).children.empty()) {
+        EXPECT_EQ(got[static_cast<std::size_t>(r)],
+                  data[static_cast<std::size_t>(r)]);
+      }
+    }
+    comm.destroy();
+  }
 }
 
 TEST(Communicator, UnwiredPeerRejectsCollectives) {
@@ -585,6 +624,54 @@ TEST(CommunicatorFaults, BroadcastExactUnderLoss) {
   for (const auto& v : comm.member_data()) EXPECT_EQ(v, chunks[0]);
   fc.fabric->set_faults({});
   comm.destroy();
+}
+
+/// Runs `fn` on a helper thread acting as machine 0.  A wedged collective
+/// never returns and its thread cannot be joined, so past `limit` the
+/// test binary exits with a failure instead of hanging.
+template <class F>
+void within(Cluster& cluster, std::chrono::seconds limit, F&& fn) {
+  auto done = std::async(std::launch::async, [&] {
+    auto guard = cluster.use(0);
+    fn();
+  });
+  if (done.wait_for(limit) != std::future_status::ready) {
+    ADD_FAILURE() << "no return within " << limit.count() << " s";
+    std::fflush(stdout);
+    std::_Exit(1);
+  }
+  done.get();
+}
+
+// A member whose part of the collective throws (here: its vector is twice
+// as long as the others') fails the collective on the master.  The other
+// members stop waiting for its segments, so the group stays usable.
+TEST(CommunicatorFaults, MismatchedLengthsFailTheCollective) {
+  for (const Algo algo : {Algo::kTwoPass, Algo::kRing, Algo::kHalving}) {
+    CommFixture fx;
+    auto comm = fx.comm(4);
+    const auto data = random_chunks(4, 4, 41);
+    const auto ref = reduce_reference(data, ReduceKind::kSum);
+    auto bad = data;
+    bad[2].resize(8, 1.0);
+    comm.set_member_data(bad);
+    within(fx.cluster, 10s, [&] {
+      EXPECT_THROW(comm.allreduce_members(ReduceKind::kSum, algo),
+                   rpc::RemoteError)
+          << "algo " << static_cast<int>(algo);
+    });
+    within(fx.cluster, 10s, [&] {
+      comm.set_member_data(data);
+      EXPECT_EQ(comm.allreduce_members(ReduceKind::kSum, algo), algo);
+      for (const auto& got : comm.member_data()) {
+        ASSERT_EQ(got.size(), ref.size());
+        for (std::size_t k = 0; k < ref.size(); ++k)
+          EXPECT_NEAR(got[k], ref[k], 1e-9)
+              << "algo " << static_cast<int>(algo);
+      }
+      comm.destroy();
+    });
+  }
 }
 
 }  // namespace

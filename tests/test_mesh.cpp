@@ -15,7 +15,7 @@
 #include <fstream>
 #include <thread>
 
-#include "coll/collectives.hpp"
+#include "coll/communicator.hpp"
 #include "core/oopp.hpp"
 #include "fft/fft3d.hpp"
 #include "fft/fft_worker.hpp"
@@ -142,23 +142,40 @@ TEST_F(MeshDeployment, PassivateInOneProcessActivateInAnother) {
 }
 
 TEST_F(MeshDeployment, CollectivesSpanProcesses) {
-  // A collective group with members in both daemons; tree ops recurse
-  // across real process boundaries.
+  // A Communicator with members in both daemons: every algorithm's
+  // segments travel member-to-member across real process boundaries.
   namespace coll = oopp::coll;
-  auto group = coll::make_group<double>(4, [](int i) {
-    return static_cast<net::MachineId>(1 + (i % 2));
-  });
+  auto comm = coll::Communicator::on_machines({1, 2, 1, 2});
+  // Small integers, so every combination order gives the exact same sum;
+  // each column's maximum sits in a different member.
+  std::vector<std::vector<double>> data(4);
   for (int i = 0; i < 4; ++i)
-    group[i].call<&coll::CollWorker<double>::set_data>(
-        std::vector<double>{double(i + 1)});
-  auto total =
-      coll::reduce(group, 0, coll::ReduceKind::kSum, coll::Topology::kTree);
-  EXPECT_EQ(total, std::vector<double>{10.0});
-  coll::broadcast(group, 2, std::vector<double>{7.0}, coll::Topology::kTree);
-  for (int i = 0; i < 4; ++i)
-    EXPECT_EQ(group[i].call<&coll::CollWorker<double>::data>(),
-              std::vector<double>{7.0});
-  group.destroy_all();
+    for (int j = 0; j < 5; ++j)
+      data[static_cast<std::size_t>(i)].push_back((i * 7 + j * 3) % 11 - 5);
+  const auto model = [&](coll::ReduceKind kind) {
+    std::vector<double> acc = data[0];
+    for (std::size_t i = 1; i < data.size(); ++i)
+      for (std::size_t j = 0; j < acc.size(); ++j)
+        acc[j] = coll::combine_one(kind, acc[j], data[i][j]);
+    return acc;
+  };
+
+  for (const auto algo :
+       {coll::Algo::kTwoPass, coll::Algo::kRing, coll::Algo::kHalving}) {
+    comm.set_member_data(data);
+    EXPECT_EQ(comm.allreduce_members(coll::ReduceKind::kSum, algo), algo);
+    for (const auto& got : comm.member_data())
+      EXPECT_EQ(got, model(coll::ReduceKind::kSum));
+  }
+
+  comm.set_member_data(data);
+  comm.bcast_members(5);
+  for (const auto& got : comm.member_data()) EXPECT_EQ(got, data[0]);
+
+  comm.set_member_data(data);
+  comm.reduce_members(coll::ReduceKind::kMax, 5);
+  EXPECT_EQ(comm.member_data()[0], model(coll::ReduceKind::kMax));
+  comm.destroy();
 }
 
 TEST_F(MeshDeployment, WatchdogProbesAcrossProcesses) {

@@ -18,7 +18,7 @@
 #include <string>
 
 #include "array/array.hpp"
-#include "coll/collectives.hpp"
+#include "coll/communicator.hpp"
 #include "core/oopp.hpp"
 #include "fft/fft_worker.hpp"
 #include "dsm/page_cache.hpp"
@@ -40,7 +40,7 @@ void register_shipped_classes() {
   rpc::register_class<array::Array>();
   rpc::register_class<fft::FFTWorker>();
   rpc::register_class<fft::GroupDirectory>();
-  rpc::register_class<coll::CollWorker<double>>();
+  rpc::register_class<coll::Peer>();
   rpc::register_class<kv::KvShard>();
   rpc::register_class<dsm::CoherentDevice>();
   rpc::register_class<dsm::PageCache>();
