@@ -71,6 +71,8 @@ struct CostModel {
   /// A model that adds no artificial delay — raw framework overhead.
   static CostModel zero() { return {}; }
 
+  bool operator==(const CostModel&) const = default;
+
   /// A model resembling a commodity cluster interconnect:
   /// ~25 us latency, ~1.2 GB/s effective bandwidth.
   static CostModel commodity_cluster() {

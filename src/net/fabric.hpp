@@ -10,15 +10,15 @@
 //    socket layer.  Its endpoint table puts the machines in this process
 //    (loopback) or in separate processes (a mesh deployment).
 //
-// Node code is fabric-agnostic: it only ever consumes its Inbox and calls
-// send().
+// Node code is fabric-agnostic: it is the Sink a fabric delivers into
+// (net/sink.hpp), and it calls send().
 #pragma once
 
 #include <atomic>
 #include <cstdint>
 
-#include "net/inbox.hpp"
 #include "net/message.hpp"
+#include "net/sink.hpp"
 #include "telemetry/metrics.hpp"
 
 namespace oopp::net {
@@ -29,19 +29,18 @@ class Fabric {
  public:
   virtual ~Fabric() = default;
 
-  /// Register the inbox that receives messages addressed to machine `id`.
+  /// Register the sink that receives messages addressed to machine `id`.
   /// Must be called for every machine before any send() targeting it.
-  virtual void attach(MachineId id, Inbox* inbox) = 0;
+  virtual void attach(MachineId id, Sink* sink) = 0;
 
-  /// Unregister machine `id`'s inbox: from the moment this returns, no
-  /// fabric thread will deliver another frame into it, even while peers
-  /// keep sending (their frames are read and dropped).  Part of the node
-  /// shutdown sequence — the inbox may be destroyed right after.  Safe to
-  /// call for an id that was never attached.  Idempotent.
+  /// Unregister machine `id`'s sink, waiting out deliveries inside it:
+  /// once this returns none starts, even while peers keep sending (their
+  /// messages are dropped), so the sink may be destroyed.  Not from inside
+  /// that sink's deliver().  Safe for an id never attached.  Idempotent.
   virtual void detach(MachineId /*id*/) {}
 
-  /// Deliver `m` to the machine in m.header.dst.  Never blocks on the
-  /// receiver.  Thread-safe.
+  /// Deliver `m` to the machine in m.header.dst, possibly running its
+  /// sink's deliver() on this thread.  Thread-safe.
   virtual void send(Message m) = 0;
 
   /// Apply the runtime-changeable subset of FabricOptions (today: the

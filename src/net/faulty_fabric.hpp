@@ -37,9 +37,7 @@ class FaultyFabric final : public Fabric {
   FaultyFabric(std::unique_ptr<Fabric> inner, Faults faults)
       : inner_(std::move(inner)), faults_(faults), rng_(faults.seed) {}
 
-  void attach(MachineId id, Inbox* inbox) override {
-    inner_->attach(id, inbox);
-  }
+  void attach(MachineId id, Sink* sink) override { inner_->attach(id, sink); }
 
   void detach(MachineId id) override { inner_->detach(id); }
 

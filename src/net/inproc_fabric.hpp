@@ -1,25 +1,32 @@
 // In-process fabric: the default cluster substrate.
 //
-// Each simulated machine's inbox is reachable directly; send() stamps the
-// message with a delivery time computed from the CostModel and enqueues it.
+// Over a free network (CostModel::zero()), and for a machine's send to
+// itself, send() delivers on the sender's own thread.  Otherwise it stamps
+// the message with a delivery time computed from the CostModel and parks
+// it in the fabric's one delay queue; a timer thread delivers it when due.
 // The sender never blocks, so N simultaneous transfers overlap exactly as
 // they would on N independent links — this is what makes the paper's §4
 // split-loop experiment reproduce.
 //
-// FIFO per link: delivery timestamps on each (src, dst) pair are forced to
-// be monotonically non-decreasing, so a small message can never overtake a
-// large one on the same link.
+// The timer delivers the first due message in send order, not blindly the
+// oldest: a due message from one link must not sit behind an undue one
+// from another.  FIFO per link holds — each (src, dst) pair's delivery
+// timestamps are forced to be non-decreasing.  detach() collapses the
+// delays of the machine's backlog: all of it is delivered before detach()
+// returns.
 #pragma once
 
 #include <algorithm>
-#include <memory>
+#include <deque>
 #include <mutex>
+#include <thread>
 #include <vector>
 
 #include "net/cost_model.hpp"
 #include "net/fabric.hpp"
 #include "util/assert.hpp"
 #include "util/checked_mutex.hpp"
+#include "util/clock.hpp"
 
 namespace oopp::net {
 
@@ -30,21 +37,27 @@ class InProcFabric final : public Fabric {
         slots_(machines),
         links_(machines * machines),
         egress_(machines),
-        ingress_(machines) {}
+        ingress_(machines),
+        queued_(machines, 0),
+        flushing_(machines, false) {}
 
-  void attach(MachineId id, Inbox* inbox) override {
+  ~InProcFabric() override { shutdown(); }
+
+  void attach(MachineId id, Sink* sink) override {
     OOPP_CHECK(id < slots_.size());
-    Slot& slot = slots_[id];
-    std::lock_guard lock(slot.mu);
-    slot.inbox = inbox;
-    slot.was_attached = true;
+    slots_[id].attach(sink);
   }
 
   void detach(MachineId id) override {
     if (id >= slots_.size()) return;
-    Slot& slot = slots_[id];
-    std::lock_guard lock(slot.mu);
-    slot.inbox = nullptr;
+    {
+      // The backlog is due now; wait until the timer has delivered it.
+      std::unique_lock lock(delay_mu_);
+      flushing_[id] = true;
+      due_cv_.notify_all();
+      drained_cv_.wait(lock, [&] { return queued_[id] == 0 || stopping_; });
+    }
+    slots_[id].detach_and_wait();
   }
 
   void send(Message m) override {
@@ -53,10 +66,9 @@ class InProcFabric final : public Fabric {
     OOPP_CHECK_MSG(dst < slots_.size(), "send to unknown machine " << dst);
     account(m);
 
-    if (src == dst) {
-      // Machine-local loopback: no NIC, no link — deliver immediately
-      // (still through the inbox, so semantics are unchanged).
-      deliver_now(dst, std::move(m));
+    // Loopback has no NIC and no link; a free network delays nothing.
+    if (src == dst || cost_ == CostModel::zero()) {
+      slots_[dst].deliver(std::move(m));
       return;
     }
 
@@ -104,12 +116,28 @@ class InProcFabric final : public Fabric {
                                                                now)
               .count()));
     }
-    Slot& slot = slots_[dst];
-    std::lock_guard lock(slot.mu);
-    OOPP_CHECK_MSG(slot.was_attached, "send to unattached machine " << dst);
-    // Detached mid-shutdown: the machine is gone, drop like a real
-    // network would (the Inbox may already be destroyed).
-    if (slot.inbox != nullptr) slot.inbox->push(std::move(m), deliver_at);
+    {
+      std::lock_guard lock(delay_mu_);
+      if (stopping_ || flushing_[dst]) return;  // a dead host or network
+      delayed_.push_back(Delayed{std::move(m), deliver_at});
+      ++queued_[dst];
+      if (!timer_.joinable()) {
+        // oopp-lint: allow(raw-thread-primitive) — joined in shutdown().
+        timer_ = std::thread([this] { run_timer(); });
+      }
+    }
+    due_cv_.notify_one();
+  }
+
+  /// Stop the delay timer; messages still queued are dropped.  Idempotent.
+  void shutdown() override {
+    {
+      std::lock_guard lock(delay_mu_);
+      stopping_ = true;
+    }
+    due_cv_.notify_all();
+    drained_cv_.notify_all();
+    if (timer_.joinable()) timer_.join();
   }
 
   [[nodiscard]] const CostModel& cost_model() const { return cost_; }
@@ -122,11 +150,6 @@ class InProcFabric final : public Fabric {
   void set_cost_model(const CostModel& c) { cost_ = c; }
 
  private:
-  struct Slot {
-    util::CheckedMutex mu{"net.InProcFabric.slot"};
-    Inbox* inbox = nullptr;  // guarded by mu; null after detach()
-    bool was_attached = false;
-  };
   struct Link {
     util::CheckedMutex mu{"net.InProcFabric.link"};
     time_point last{};
@@ -135,19 +158,52 @@ class InProcFabric final : public Fabric {
     util::CheckedMutex mu{"net.InProcFabric.port"};
     time_point busy_until{};
   };
+  struct Delayed {
+    Message msg;
+    time_point due;
+  };
 
-  void deliver_now(MachineId dst, Message m) {
-    Slot& slot = slots_[dst];
-    std::lock_guard lock(slot.mu);
-    OOPP_CHECK_MSG(slot.was_attached, "send to unattached machine " << dst);
-    if (slot.inbox != nullptr) slot.inbox->push_now(std::move(m));
+  void run_timer() {
+    std::unique_lock lock(delay_mu_);
+    for (;;) {
+      due_cv_.wait(lock, [this] { return stopping_ || !delayed_.empty(); });
+      if (stopping_) return;
+      const auto now = steady_clock::now();
+      time_point earliest = time_point::max();
+      auto it = delayed_.begin();
+      for (; it != delayed_.end(); ++it) {
+        if (it->due <= now || flushing_[it->msg.header.dst]) break;
+        earliest = std::min(earliest, it->due);
+      }
+      if (it == delayed_.end()) {
+        // oopp-lint: allow(condvar-wait-no-predicate) delay sleep; the
+        due_cv_.wait_until(lock, earliest);  // loop re-scans the queue
+        continue;
+      }
+      Message m = std::move(it->msg);
+      delayed_.erase(it);
+      const MachineId dst = m.header.dst;
+      lock.unlock();
+      slots_[dst].deliver(std::move(m));
+      lock.lock();
+      if (--queued_[dst] == 0) drained_cv_.notify_all();
+    }
   }
 
   CostModel cost_;
-  std::vector<Slot> slots_;
+  std::vector<SinkSlot> slots_;
   std::vector<Link> links_;
   std::vector<Egress> egress_;
   std::vector<Egress> ingress_;
+
+  util::CheckedMutex delay_mu_{"net.InProcFabric.delay"};
+  util::CondVar due_cv_;      // timer: a message was queued or fell due
+  util::CondVar drained_cv_;  // detach(): a machine's backlog emptied
+  std::deque<Delayed> delayed_;  // in send order
+  std::vector<std::size_t> queued_;  // per machine: queued or being delivered
+  std::vector<bool> flushing_;       // per machine: detach() in progress
+  bool stopping_ = false;
+  std::thread timer_;  // oopp-lint: allow(raw-thread-primitive)
 };
 
 }  // namespace oopp::net

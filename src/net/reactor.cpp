@@ -37,7 +37,7 @@ ReactorMetrics& reactor_metrics() {
 
 struct Reactor::Conn {
   int fd = -1;
-  std::shared_ptr<InboxSlot> slot;
+  std::shared_ptr<SinkSlot> slot;
   wire::StreamFrameDecoder decoder;
 };
 
@@ -64,7 +64,7 @@ void Reactor::wake() {
   (void)!::write(wake_fd_, &one, sizeof(one));
 }
 
-void Reactor::add_listener(int listen_fd, std::shared_ptr<InboxSlot> slot) {
+void Reactor::add_listener(int listen_fd, std::shared_ptr<SinkSlot> slot) {
   {
     std::lock_guard lock(mu_);
     OOPP_CHECK_MSG(!stopped_, "add_listener on a stopped reactor");
@@ -97,7 +97,7 @@ void Reactor::stop() {
 }
 
 void Reactor::do_accept(int listen_fd,
-                        const std::shared_ptr<InboxSlot>& slot) {
+                        const std::shared_ptr<SinkSlot>& slot) {
   // Edge-triggered: accept until the backlog is dry.
   for (;;) {
     const int fd = ::accept4(listen_fd, nullptr, nullptr,
@@ -146,11 +146,9 @@ bool Reactor::do_read(Conn& conn) {
       return false;  // malformed stream: drop the connection
     if (ms.empty()) continue;
     rm.frames.add(ms.size());
-    // Deliver under the slot lock: detach() nulls the inbox under the
-    // same lock, so no frame can land in a destroyed Inbox.
-    std::lock_guard lock(conn.slot->mu);
-    if (conn.slot->inbox != nullptr)
-      conn.slot->inbox->push_all(std::move(ms));
+    // Frames of one connection are delivered one at a time, in order: on
+    // one link, that is issue order.
+    for (auto& m : ms) conn.slot->deliver(std::move(m));
   }
   return true;
 }
@@ -184,7 +182,7 @@ void Reactor::run() {
         if (stopped_) return;
         continue;
       }
-      std::shared_ptr<InboxSlot> listener_slot;
+      std::shared_ptr<SinkSlot> listener_slot;
       Conn* conn = nullptr;
       {
         std::lock_guard lock(mu_);

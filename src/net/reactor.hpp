@@ -10,10 +10,9 @@
 // mutex, so the reactor never needs write readiness — EPOLLOUT is unused
 // by design.
 //
-// Delivery goes through an InboxSlot, a shared inbox pointer behind a
-// mutex: Fabric::detach() nulls the pointer under the slot lock, after
-// which the reactor reads and drops frames for that machine instead of
-// pushing into a destroyed Inbox (the racing-shutdown fix).
+// The reactor delivers each decoded frame itself, through the listening
+// machine's SinkSlot (net/sink.hpp): the node's routing runs on this
+// thread.  After Fabric::detach() it reads and drops that machine's frames.
 #pragma once
 
 #include <cstddef>
@@ -24,17 +23,10 @@
 #include <unordered_map>
 #include <vector>
 
-#include "net/inbox.hpp"
+#include "net/sink.hpp"
 #include "util/checked_mutex.hpp"
 
 namespace oopp::net {
-
-/// The destination inbox of one attached machine, shared between the
-/// reactor and Fabric::detach.
-struct InboxSlot {
-  util::CheckedMutex mu{"net.InboxSlot"};
-  Inbox* inbox = nullptr;
-};
 
 class Reactor {
  public:
@@ -44,11 +36,11 @@ class Reactor {
   Reactor(const Reactor&) = delete;
   Reactor& operator=(const Reactor&) = delete;
 
-  /// Register a listening socket; connections it accepts deliver into
+  /// Register a listening socket; connections it accepts deliver through
   /// `slot`.  The caller keeps ownership of `listen_fd` (and closes it to
   /// stop new accepts); the reactor owns every fd it accepts.  The fd
   /// must already be nonblocking.  Thread-safe.
-  void add_listener(int listen_fd, std::shared_ptr<InboxSlot> slot);
+  void add_listener(int listen_fd, std::shared_ptr<SinkSlot> slot);
 
   /// Stop the reactor thread and close all accepted connections.
   /// Idempotent.  Callers close their listening fds first so no new
@@ -59,7 +51,7 @@ class Reactor {
   struct Conn;
 
   void run();
-  void do_accept(int listen_fd, const std::shared_ptr<InboxSlot>& slot);
+  void do_accept(int listen_fd, const std::shared_ptr<SinkSlot>& slot);
   /// Drain one readable connection; returns false when it must close
   /// (EOF, error, malformed stream).
   bool do_read(Conn& conn);
@@ -75,7 +67,7 @@ class Reactor {
   std::thread thread_;  // oopp-lint: allow(raw-thread-primitive) joined in stop()
 
   util::CheckedMutex mu_{"net.Reactor.state"};
-  std::unordered_map<int, std::shared_ptr<InboxSlot>> listeners_;
+  std::unordered_map<int, std::shared_ptr<SinkSlot>> listeners_;
   std::unordered_map<int, std::unique_ptr<Conn>> conns_;
   bool started_ = false;
   bool stopped_ = false;

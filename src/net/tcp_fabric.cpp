@@ -67,14 +67,11 @@ TcpFabric::TcpFabric(std::vector<Endpoint> endpoints, FabricOptions opts)
 
 TcpFabric::~TcpFabric() { shutdown(); }
 
-void TcpFabric::attach(MachineId id, Inbox* inbox) {
+void TcpFabric::attach(MachineId id, Sink* sink) {
   OOPP_CHECK(id < endpoints_.size());
   Listener& l = listeners_[id];
   OOPP_CHECK_MSG(l.fd < 0, "machine " << id << " attached twice");
-  {
-    std::lock_guard lock(l.slot->mu);
-    l.slot->inbox = inbox;
-  }
+  l.slot->attach(sink);
 
   // Port 0 is a single-process machine: an ephemeral loopback port.  A
   // configured port is a deployment endpoint, reachable on any address.
@@ -100,9 +97,7 @@ void TcpFabric::attach(MachineId id, Inbox* inbox) {
 
 void TcpFabric::detach(MachineId id) {
   if (id >= listeners_.size()) return;
-  InboxSlot& slot = *listeners_[id].slot;
-  std::lock_guard lock(slot.mu);
-  slot.inbox = nullptr;
+  listeners_[id].slot->detach_and_wait();
 }
 
 void TcpFabric::reconfigure(const FabricOptions& opts) {
@@ -150,9 +145,7 @@ void TcpFabric::send(Message m) {
   if (dst == src) {
     // Loopback without touching the kernel — never batched: there is no
     // syscall to amortize, and delaying it would only add latency.
-    InboxSlot& slot = *listeners_[dst].slot;
-    std::lock_guard lock(slot.mu);
-    if (slot.inbox != nullptr) slot.inbox->push_now(std::move(m));
+    listeners_[dst].slot->deliver(std::move(m));
     return;
   }
 

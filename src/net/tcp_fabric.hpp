@@ -17,7 +17,8 @@
 // (src, dst) pair; a per-link mutex keeps frames atomic on the socket and
 // guards the link's BatchQueue.
 //
-// A message a machine sends to itself goes straight to its inbox.  Every
+// A message a machine sends to itself is delivered on the sender's thread
+// without touching a socket.  Every
 // cross-machine message really crosses the kernel socket layer, byte for
 // byte, like the MPI substrate in the paper's own experiments: the
 // runtime's semantics do not depend on shared memory.
@@ -59,7 +60,7 @@ class TcpFabric final : public Fabric {
 
   /// Bind and listen on machine `id`'s endpoint.  A process attaches the
   /// machines it hosts: all of them, or one per process in a deployment.
-  void attach(MachineId id, Inbox* inbox) override;
+  void attach(MachineId id, Sink* sink) override;
   void detach(MachineId id) override;
   void send(Message m) override;
   void reconfigure(const FabricOptions& opts) override;
@@ -78,9 +79,8 @@ class TcpFabric final : public Fabric {
  private:
   struct Listener {
     int fd = -1;
-    // Shared with the reactor; detach() nulls slot->inbox under slot->mu
-    // so no frame lands in a destroyed Inbox.
-    std::shared_ptr<InboxSlot> slot = std::make_shared<InboxSlot>();
+    // Shared with the reactor's connections.
+    std::shared_ptr<SinkSlot> slot = std::make_shared<SinkSlot>();
   };
   struct Link;  // cached outgoing connection for one (src, dst) pair
 

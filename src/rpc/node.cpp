@@ -79,10 +79,10 @@ BreakerMetrics& breaker_metrics() {
   return m;
 }
 
-/// rpc.dispatch scope: the receiver thread routing requests onto object
-/// queues and pool tasks (docs/DISPATCH.md).
+/// rpc.dispatch scope: delivery routing requests onto object queues and
+/// pool tasks (docs/DISPATCH.md).
 struct DispatchMetrics {
-  telemetry::Counter& routed;             // requests the receiver routed
+  telemetry::Counter& routed;             // requests delivery routed
   telemetry::Counter& queue_full_rejects; // bounded object queues refusing
 };
 
@@ -137,10 +137,8 @@ Node::~Node() { stop(); }
 void Node::start() {
   OOPP_CHECK(!started_);
   started_ = true;
-  fabric_.attach(id_, &inbox_);
-  // oopp-lint: allow(raw-thread-primitive) — joined in stop().
-  receiver_ = std::thread([this] { receive_loop(); });
-  // oopp-lint: allow(raw-thread-primitive) — joined in stop_retry().
+  fabric_.attach(id_, this);
+  // oopp-lint: allow(raw-thread-primitive) — joined in stop_receiving().
   retry_thread_ = std::thread([this] { retry_loop(); });
 }
 
@@ -151,16 +149,10 @@ void Node::stop() {
 }
 
 void Node::stop_receiving() {
-  // Detach first: from here no fabric reader can push into inbox_, even
-  // while peers are still sending (their frames are read and dropped), so
-  // destroying this node under fire cannot deliver into a dead Inbox.
+  // Once detach returns no transport thread is inside deliver() and none
+  // enters it again, even while peers are still sending (their messages
+  // are dropped), so destroying this node under fire is safe.
   if (started_) fabric_.detach(id_);
-  inbox_.close();
-  if (receiver_.joinable()) receiver_.join();
-  stop_retry();
-}
-
-void Node::stop_retry() {
   {
     std::lock_guard lock(retry_mu_);
     retry_stop_ = true;
@@ -200,38 +192,34 @@ void Node::wait_for_shutdown_request() {
   shutdown_cv_.wait(lock, [this] { return shutdown_requested_; });
 }
 
-void Node::receive_loop() {
+void Node::deliver(net::Message msg) {
   ContextGuard guard(this);
-  while (auto msg = inbox_.pop()) {
-    if (!payload_intact(*msg)) {
-      if (msg->header.kind == net::MsgKind::kRequest) {
-        // Answer directly, bypassing respond_error's dedup bookkeeping: a
-        // corrupted duplicate must not disturb the at-most-once record of
-        // the intact attempt that may be executing right now.
-        fabric_.send(net::make_response(
-            msg->header, net::CallStatus::kBadFrame,
-            serial::to_bytes(
-                std::string("payload checksum mismatch on request")),
-            opts_.checksums));
-      } else {
-        // Surface the corruption at the call site as BadFrame: this is an
-        // in-place rewrite of an inbound frame, not construction of one.
-        // oopp-lint: allow(raw-message-header)
-        msg->header.status = net::CallStatus::kBadFrame;
-        msg->payload = serial::to_bytes(
-            std::string("payload checksum mismatch on response"));
-        on_response(std::move(*msg));
-      }
-      continue;
-    }
-    if (msg->header.kind == net::MsgKind::kResponse) {
-      // Responses are completed inline — never queued behind servant work,
-      // so a servant blocked on a nested call always gets its reply.
-      on_response(std::move(*msg));
+  if (!payload_intact(msg)) {
+    if (msg.header.kind == net::MsgKind::kRequest) {
+      // Answer without refuse's dedup bookkeeping: a corrupted duplicate
+      // must not disturb the at-most-once record of the intact attempt
+      // that may be executing right now.
+      post_reply(net::make_response(
+          msg.header, net::CallStatus::kBadFrame,
+          serial::to_bytes(std::string("payload checksum mismatch on request")),
+          opts_.checksums));
     } else {
-      on_request(std::move(*msg));
+      // Surface the corruption at the call site as BadFrame: this is an
+      // in-place rewrite of an inbound frame, not construction of one.
+      // oopp-lint: allow(raw-message-header)
+      msg.header.status = net::CallStatus::kBadFrame;
+      msg.payload = serial::to_bytes(
+          std::string("payload checksum mismatch on response"));
+      on_response(std::move(msg));
     }
+    return;
   }
+  // Responses complete on delivery — never queued behind servant work, so
+  // a servant blocked on a nested call always gets its reply.
+  if (msg.header.kind == net::MsgKind::kResponse)
+    on_response(std::move(msg));
+  else
+    on_request(std::move(msg));
 }
 
 void Node::on_response(net::Message resp) {
@@ -286,11 +274,12 @@ void Node::on_response(net::Message resp) {
 }
 
 void Node::on_request(net::Message req) {
-  // Runs on the receiver thread, so requests are routed in arrival order —
-  // on one link, that is issue order.  Everything here is quick and
-  // non-blocking: servant executions go to object command queues or their
-  // own pool tasks, so a handler making a nested blocking call never stalls
-  // delivery of the response it waits for.
+  // Runs on the delivering thread, which hands over one link's messages in
+  // send order, so a caller's requests are routed in its issue order.
+  // Nothing here blocks or sends: servant work goes to object command
+  // queues or pool tasks, replies made here leave through refuse().  So a
+  // handler in a nested blocking call never stalls delivery of the
+  // response it waits for, and the reactor never waits on a socket.
   dispatch_metrics().routed.add(1);
   if (dedup_intercept(req)) return;
   if (req.header.object == net::kNodeObject) {
@@ -314,14 +303,14 @@ void Node::on_request(net::Message req) {
 
   auto entry = objects_.find(req.header.object);
   if (!entry) {
-    respond_error(req, net::CallStatus::kObjectNotFound, {});
+    refuse(req, net::CallStatus::kObjectNotFound, {});
     return;
   }
   const MethodInfo* mi = entry->info->find_method(req.header.method);
   if (!mi) {
-    respond_error(req, net::CallStatus::kMethodNotFound,
-                  serial::to_bytes(std::string("unknown method id on class " +
-                                               entry->info->name)));
+    refuse(req, net::CallStatus::kMethodNotFound,
+           serial::to_bytes(std::string("unknown method id on class " +
+                                        entry->info->name)));
     return;
   }
 
@@ -345,8 +334,8 @@ void Node::on_request(net::Message req) {
     // Backpressure: the object's queue sits at dispatch.queue_bound.
     // Refuse loudly (rpc::PeerUnavailable at the caller) instead of
     // growing memory without limit.
-    respond_error(req, net::CallStatus::kUnavailable,
-                  serial::to_bytes(std::string("object command queue full")));
+    refuse(req, net::CallStatus::kUnavailable,
+           serial::to_bytes(std::string("object command queue full")));
   }
 }
 
@@ -519,6 +508,8 @@ void Node::handle_control(const net::Message& req) {
   // spawn/destroy traffic shows up in traces as children of the caller.
   // The span closes when dispatch returns; work deferred through a
   // command queue (destroy, passivate) is covered by the caller's span.
+  // Failures found here leave through refuse(): destroy and passivate are
+  // handled on the routing path itself (on_request).
   const bool traced = telemetry::enabled() && req.header.trace_id != 0;
   std::optional<telemetry::ContextScope> span_ctx;
   telemetry::Span sspan{};
@@ -568,7 +559,7 @@ void Node::handle_control(const net::Message& req) {
       const auto target = ia.read<std::uint64_t>();
       auto entry = objects_.find(target);
       if (!entry) {
-        respond_error(req, net::CallStatus::kObjectNotFound, {});
+        refuse(req, net::CallStatus::kObjectNotFound, {});
         return;
       }
       // Destruction goes through the command queue: all previously issued
@@ -593,7 +584,7 @@ void Node::handle_control(const net::Message& req) {
       const bool destroy_after = ia.read<std::uint8_t>() != 0;
       auto entry = objects_.find(target);
       if (!entry) {
-        respond_error(req, net::CallStatus::kObjectNotFound, {});
+        refuse(req, net::CallStatus::kObjectNotFound, {});
         return;
       }
       if (!entry->info->persistent())
@@ -658,41 +649,54 @@ void Node::handle_control(const net::Message& req) {
     }
 
     finisher.status = net::CallStatus::kMethodNotFound;
-    respond_error(req, net::CallStatus::kMethodNotFound,
-                  serial::to_bytes(std::string("unknown control method")));
+    refuse(req, net::CallStatus::kMethodNotFound,
+           serial::to_bytes(std::string("unknown control method")));
   } catch (const serial::serial_error& e) {
     finisher.status = net::CallStatus::kBadFrame;
-    respond_error(req, net::CallStatus::kBadFrame,
-                  serial::to_bytes(std::string(e.what())));
+    refuse(req, net::CallStatus::kBadFrame,
+           serial::to_bytes(std::string(e.what())));
   } catch (const Error& e) {
     // Framework errors (UnknownClass, non-persistent class, ...) travel
     // with their own status byte so the caller rethrows the exact type.
     finisher.status = e.code();
     serial::OArchive oa;
     oa(std::string(typeid(e).name()), std::string(e.what()));
-    respond_error(req, e.code(), oa.take());
+    refuse(req, e.code(), oa.take());
   } catch (const std::exception& e) {
     finisher.status = net::CallStatus::kRemoteException;
     serial::OArchive oa;
     oa(std::string(typeid(e).name()), std::string(e.what()));
-    respond_error(req, net::CallStatus::kRemoteException, oa.take());
+    refuse(req, net::CallStatus::kRemoteException, oa.take());
   }
 }
 
-void Node::respond_ok(const net::Message& req, net::Buffer payload) {
-  net::Message resp = net::make_response(req.header, net::CallStatus::kOk,
+net::Message Node::reply(const net::Message& req, net::CallStatus status,
+                         net::Buffer payload) {
+  net::Message resp = net::make_response(req.header, status,
                                          std::move(payload), opts_.checksums);
   dedup_store(req, resp);
-  fabric_.send(std::move(resp));
+  return resp;
+}
+
+void Node::respond_ok(const net::Message& req, net::Buffer payload) {
+  fabric_.send(reply(req, net::CallStatus::kOk, std::move(payload)));
 }
 
 void Node::respond_error(const net::Message& req, net::CallStatus status,
                          net::Buffer payload) {
-  net::Message resp =
-      net::make_response(req.header, status, std::move(payload),
-                         opts_.checksums);
-  dedup_store(req, resp);
-  fabric_.send(std::move(resp));
+  fabric_.send(reply(req, status, std::move(payload)));
+}
+
+void Node::refuse(const net::Message& req, net::CallStatus status,
+                  net::Buffer payload) {
+  post_reply(reply(req, status, std::move(payload)));
+}
+
+void Node::post_reply(net::Message resp) {
+  // A refused submit is the teardown race: the caller's future settles
+  // via fail_pending, or its deadline.
+  (void)pool_.try_submit(
+      [this, resp = std::move(resp)]() mutable { fabric_.send(std::move(resp)); });
 }
 
 bool Node::dedup_intercept(const net::Message& req) {
@@ -722,7 +726,7 @@ bool Node::dedup_intercept(const net::Message& req) {
     replay = it->second.response;
   }
   retry_metrics().dedup_replays.add(1);
-  fabric_.send(std::move(replay));
+  post_reply(std::move(replay));
   return true;
 }
 

@@ -1,10 +1,11 @@
 // Node: one simulated machine's RPC endpoint.
 //
-// Serving side — a receiver thread drains the node's Inbox.  It appends
+// Serving side — the node is the Sink its fabric delivers into, on the
+// transport thread a message arrives on (net/sink.hpp).  Delivery appends
 // each request to the target object's FIFO command queue, drained on an
 // elastic thread pool (so servants can make nested blocking remote calls,
-// as the paper's FFT group does).  Responses complete the matching pending
-// call.
+// as the paper's FFT group does), and completes the call a response
+// answers.
 //
 // Client side — call_raw/async_raw implement the synchronous semantics of
 // §2 ("each instruction, and all communications associated with it, is
@@ -29,7 +30,6 @@
 #include <unordered_map>
 
 #include "net/fabric.hpp"
-#include "net/inbox.hpp"
 #include "net/message.hpp"
 #include "rpc/call_policy.hpp"
 #include "rpc/class_registry.hpp"
@@ -75,10 +75,10 @@ void oopp_serialize(Ar& ar, NodeStats& s) {
 }
 
 /// How a node turns decoded requests into servant executions: the N:M
-/// dispatch surface (docs/DISPATCH.md).  The receiver thread appends each
-/// request to its target object's command queue; queues drain on the
-/// elastic worker pool, preserving per-object FIFO order while distinct
-/// objects proceed in parallel.
+/// dispatch surface (docs/DISPATCH.md).  Delivery appends each request to
+/// its target object's command queue; queues drain on the elastic worker
+/// pool, preserving per-object FIFO order while distinct objects proceed
+/// in parallel.
 struct DispatchOptions {
   /// Worker pool floor.  The pool still grows elastically up to
   /// max_workers — servants may make nested blocking remote calls, and a
@@ -130,7 +130,7 @@ struct PeerHealth {
   std::uint32_t consecutive_failures = 0;
 };
 
-class Node {
+class Node : private net::Sink {
  public:
   struct Options {
     /// Worker pool and queue-bound knobs (docs/DISPATCH.md);
@@ -168,10 +168,10 @@ class Node {
   Node(const Node&) = delete;
   Node& operator=(const Node&) = delete;
 
-  /// Attach to the fabric and start the receiver thread.
+  /// Attach to the fabric and start the retry driver.
   void start();
 
-  /// Full local shutdown (receiver, pending calls, pool).  For clusters,
+  /// Full local shutdown (delivery, pending calls, pool).  For clusters,
   /// prefer the staged stop_* sequence orchestrated across all nodes.
   void stop();
 
@@ -191,7 +191,6 @@ class Node {
   /// Block until some client sends the kShutdownMethod control request —
   /// how a standalone node process (oopp_noded) learns it is done.
   void wait_for_shutdown_request();
-  [[nodiscard]] net::Inbox& inbox() { return inbox_; }
   [[nodiscard]] ObjectTable& objects() { return objects_; }
   [[nodiscard]] ElasticPool& pool() { return pool_; }
   [[nodiscard]] net::Fabric& fabric() { return fabric_; }
@@ -271,9 +270,10 @@ class Node {
  private:
   friend class ContextGuard;
 
-  void receive_loop();
-  /// Route one request (runs on the receiver thread; never blocks on
-  /// servant work — see node.cpp).
+  /// The fabric's delivery entry point (net::Sink): verify, then route.
+  void deliver(net::Message m) override;
+  /// Route one request (runs on the delivering transport thread; never
+  /// blocks and never sends — see node.cpp).
   void on_request(net::Message req);
   void on_response(net::Message resp);
 
@@ -300,7 +300,6 @@ class Node {
   };
 
   void retry_loop();
-  void stop_retry();
   /// Complete a pending call exceptionally (retry exhaustion, breaker).
   void fail_call(net::SeqNum seq, net::CallStatus status,
                  std::exception_ptr ex);
@@ -333,9 +332,20 @@ class Node {
 
   void handle_control(const net::Message& req);
 
+  /// The response to `req`, recorded for dedup replay.
+  net::Message reply(const net::Message& req, net::CallStatus status,
+                     net::Buffer payload);
   void respond_ok(const net::Message& req, net::Buffer payload);
   void respond_error(const net::Message& req, net::CallStatus status,
                      net::Buffer payload);
+  /// respond_error for the routing path, sent through post_reply.
+  void refuse(const net::Message& req, net::CallStatus status,
+              net::Buffer payload);
+  /// Send a reply the routing path made from a pool task.  On TCP that
+  /// path is the reactor, the only reader of every inbound socket, and a
+  /// link write blocks while the peer's socket buffer is full: written
+  /// inline, the reply could wait on a read only the reactor can do.
+  void post_reply(net::Message resp);
 
   static thread_local Node* tls_current_;
 
@@ -346,10 +356,8 @@ class Node {
   net::MachineId id_;
   Options opts_;
   net::Fabric& fabric_;
-  net::Inbox inbox_;
   ElasticPool pool_;
   ObjectTable objects_;
-  std::thread receiver_;  // oopp-lint: allow(raw-thread-primitive)
   bool started_ = false;
   std::atomic<std::uint64_t> queue_depth_hwm_{0};
 

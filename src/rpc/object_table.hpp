@@ -8,7 +8,7 @@
 // objects on the same machine execute concurrently.
 //
 // The table is sharded by object id (shard = id & (kShards - 1)) so
-// lookups from the receiver thread and from servant code do not all
+// lookups from the delivering threads and from servant code do not all
 // serialize on one map mutex.
 #pragma once
 

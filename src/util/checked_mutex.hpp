@@ -1,7 +1,7 @@
 // Lock-order-checked mutex — the concurrency-correctness substrate.
 //
 // Every mutex in the framework is a CheckedMutex carrying a *lock class*
-// name (e.g. "net.Inbox").  In OOPP_LOCK_CHECK builds (the default; see
+// name (e.g. "net.SinkSlot").  In OOPP_LOCK_CHECK builds (the default; see
 // the top-level CMakeLists) each acquisition is recorded in a per-thread
 // held-lock stack and a process-wide lock-class order graph:
 //

@@ -9,6 +9,7 @@
 #include <thread>
 #include <vector>
 
+#include "collect_sink.hpp"
 #include "core/oopp.hpp"
 #include "net/batcher.hpp"
 #include "net/buffer.hpp"
@@ -178,8 +179,8 @@ TEST(WireCodec, MalformedBatchHeaderIsRejected) {
 // -- TcpFabric flush behaviour ----------------------------------------------
 
 struct FabricPair {
+  CollectSink a, b;  // outlive the fabric's reactor
   net::TcpFabric fabric;
-  net::Inbox a, b;
   explicit FabricPair(net::BatchOptions batch)
       : fabric(2, net::FabricOptions{.batch = batch}) {
     fabric.attach(0, &a);
@@ -196,7 +197,7 @@ TEST(TcpBatching, FlushOnFrameCountDespiteFarDeadline) {
   for (int i = 0; i < 4; ++i)
     fp.fabric.send(req(static_cast<net::SeqNum>(i), 32));
   for (net::SeqNum want = 0; want < 4; ++want)
-    EXPECT_EQ(fp.b.pop()->header.seq, want);
+    EXPECT_EQ(fp.b.pop().header.seq, want);
   EXPECT_GT(net::batch_metrics().flush_size.value(), size_flushes_before);
 }
 
@@ -208,8 +209,8 @@ TEST(TcpBatching, FlushOnByteThresholdDespiteFarDeadline) {
   // Two 1.5 KiB frames cross the 2 KiB threshold.
   fp.fabric.send(req(0, 1536));
   fp.fabric.send(req(1, 1536));
-  EXPECT_EQ(fp.b.pop()->header.seq, 0u);
-  EXPECT_EQ(fp.b.pop()->header.seq, 1u);
+  EXPECT_EQ(fp.b.pop().header.seq, 0u);
+  EXPECT_EQ(fp.b.pop().header.seq, 1u);
 }
 
 TEST(TcpBatching, FlushOnDeadlineForLoneSmallFrame) {
@@ -218,9 +219,7 @@ TEST(TcpBatching, FlushOnDeadlineForLoneSmallFrame) {
   FabricPair fp({.enabled = true, .max_frames = 1000, .max_delay = 2ms});
   const auto t0 = oopp::steady_clock::now();
   fp.fabric.send(req(7, 16));  // far below every size threshold
-  auto got = fp.b.pop();
-  ASSERT_TRUE(got.has_value());
-  EXPECT_EQ(got->header.seq, 7u);
+  EXPECT_EQ(fp.b.pop().header.seq, 7u);
   // Arrived via the deadline flusher, not a size trip.
   EXPECT_GE(oopp::steady_clock::now() - t0, 1ms);
   EXPECT_GT(net::batch_metrics().flush_deadline.value(),
@@ -244,10 +243,9 @@ TEST(TcpBatching, MixedRequestsAndResponsesCoalesceInOrder) {
   }
   for (net::SeqNum want = 0; want < 6; ++want) {
     auto got = fp.b.pop();
-    ASSERT_TRUE(got.has_value());
-    EXPECT_EQ(got->header.seq, want);
-    EXPECT_EQ(got->header.kind, want % 2 == 0 ? net::MsgKind::kRequest
-                                              : net::MsgKind::kResponse);
+    EXPECT_EQ(got.header.seq, want);
+    EXPECT_EQ(got.header.kind, want % 2 == 0 ? net::MsgKind::kRequest
+                                             : net::MsgKind::kResponse);
   }
 }
 
@@ -257,15 +255,15 @@ TEST(TcpBatching, RuntimeToggleDrainsAndKeepsDelivering) {
   // Turning batching off must drain the parked frame on the next send.
   fp.fabric.reconfigure(net::FabricOptions{.batch = {.enabled = false}});
   fp.fabric.send(req(2, 16));
-  EXPECT_EQ(fp.b.pop()->header.seq, 1u);
-  EXPECT_EQ(fp.b.pop()->header.seq, 2u);
+  EXPECT_EQ(fp.b.pop().header.seq, 1u);
+  EXPECT_EQ(fp.b.pop().header.seq, 2u);
 
   fp.fabric.reconfigure(
       net::FabricOptions{.batch = {.enabled = true, .max_frames = 2}});
   fp.fabric.send(req(3, 16));
   fp.fabric.send(req(4, 16));
-  EXPECT_EQ(fp.b.pop()->header.seq, 3u);
-  EXPECT_EQ(fp.b.pop()->header.seq, 4u);
+  EXPECT_EQ(fp.b.pop().header.seq, 3u);
+  EXPECT_EQ(fp.b.pop().header.seq, 4u);
 }
 
 TEST(TcpBatching, ShutdownDrainsParkedFramesWithoutHanging) {
@@ -274,10 +272,10 @@ TEST(TcpBatching, ShutdownDrainsParkedFramesWithoutHanging) {
   // hit the socket) and never hangs on a parked queue.
   const auto drains_before = net::batch_metrics().flush_drain.value();
   {
+    CollectSink a, b;
     net::TcpFabric fabric(2, net::FabricOptions{.batch = {.enabled = true,
                                                           .max_frames = 1000,
                                                           .max_delay = 10s}});
-    net::Inbox a, b;
     fabric.attach(0, &a);
     fabric.attach(1, &b);
     fabric.send(req(9, 16));

@@ -1,12 +1,16 @@
-// N:M dispatch tests (docs/DISPATCH.md): the receiver thread routes each
-// request onto its object's FIFO command queue, drained on the worker
-// pool.  These pin the contract — per-object FIFO order survives N
-// concurrent clients, control verbs keep their place in an object's issue
-// order, M distinct objects demonstrably execute in parallel, a racing
-// shutdown cannot deliver into a destroyed Inbox, a bounded object queue
-// refuses overflow with PeerUnavailable, and the reactor's incremental
-// frame decoder parses exactly the bytes the senders write.
+// N:M dispatch tests (docs/DISPATCH.md): delivery routes each request,
+// on the transport thread it arrived on, onto its object's FIFO command
+// queue, drained on the worker pool.  These pin the contract — per-object
+// FIFO order survives N concurrent clients, control verbs keep their place
+// in an object's issue order, M distinct objects demonstrably execute in
+// parallel, a racing shutdown cannot deliver into a destroyed node, a
+// bounded object queue refuses overflow with PeerUnavailable (and over TCP
+// never wedges the reactor doing so), and the reactor's incremental frame
+// decoder parses exactly the bytes the senders write.
+#include <fcntl.h>
 #include <gtest/gtest.h>
+#include <netinet/in.h>
+#include <netinet/tcp.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
@@ -36,6 +40,7 @@ namespace wire = oopp::net::wire;
 using oopp::Future;
 using oopp::make_remote;
 using oopp::remote_ptr;
+using namespace std::chrono_literals;
 
 namespace {
 
@@ -110,6 +115,48 @@ class Sleeper {
   }
 };
 
+/// hold() parks its object until release(), so the object's command queue
+/// can only fill while it runs.
+class Latch {
+ public:
+  int hold() {
+    std::unique_lock<std::mutex> lk(mu());
+    held() = true;
+    cv().notify_all();
+    cv().wait(lk, [] { return released(); });
+    return 1;
+  }
+  int ping() { return 2; }
+
+  static void wait_held() {
+    std::unique_lock<std::mutex> lk(mu());
+    cv().wait(lk, [] { return held(); });
+  }
+  static void release() {
+    std::lock_guard<std::mutex> lk(mu());
+    released() = true;
+    cv().notify_all();
+  }
+
+ private:
+  static std::mutex& mu() {
+    static std::mutex m;
+    return m;
+  }
+  static std::condition_variable& cv() {
+    static std::condition_variable c;
+    return c;
+  }
+  static bool& held() {
+    static bool h = false;
+    return h;
+  }
+  static bool& released() {
+    static bool r = false;
+    return r;
+  }
+};
+
 /// A persistent counter: migrate() checkpoints it, so the migrated total
 /// shows whether every add() issued before the migrate ran first.
 class Tally {
@@ -159,6 +206,17 @@ struct oopp::rpc::class_def<Sleeper> {
 };
 
 template <>
+struct oopp::rpc::class_def<Latch> {
+  static std::string name() { return "test.dispatch.Latch"; }
+  using ctors = ctor_list<ctor<>>;
+  template <class B>
+  static void bind(B& b) {
+    b.template method<&Latch::hold>("hold");
+    b.template method<&Latch::ping>("ping");
+  }
+};
+
+template <>
 struct oopp::rpc::class_def<Tally> {
   static std::string name() { return "test.dispatch.Tally"; }
   using ctors = ctor_list<ctor<>>;
@@ -177,7 +235,7 @@ namespace {
 // ---------------------------------------------------------------------------
 
 // N client threads share one Recorder over real TCP (reactor inbound
-// path).  Each thread issues its calls in order, so the chain inbox FIFO
+// path).  Each thread issues its calls in order, so the chain link FIFO
 // -> object FIFO must preserve each client's subsequence even though
 // clients interleave arbitrarily.
 TEST(Dispatch, NClientsOneObjectObserveStrictFifo) {
@@ -317,8 +375,8 @@ TEST(Dispatch, MObjectsOnOneNodeExecuteInParallel) {
 }
 
 // ---------------------------------------------------------------------------
-// Racing shutdown: frames arriving during/after close() must be dropped,
-// never delivered into a destroyed Inbox
+// Racing shutdown: frames arriving during/after detach() must be dropped,
+// never delivered into a destroyed node
 // ---------------------------------------------------------------------------
 
 TEST(Dispatch, RacingShutdownReactor) {
@@ -355,7 +413,7 @@ TEST(Dispatch, RacingShutdownReactor) {
   n1->stop_receiving();  // detaches from the fabric first
   n1->fail_pending();
   n1->stop_pool();
-  n1.reset();  // Inbox destroyed while the storm keeps sending
+  n1.reset();  // node destroyed while the storm keeps sending
   std::this_thread::sleep_for(std::chrono::milliseconds(50));
 
   stop.store(true);
@@ -413,6 +471,104 @@ TEST(Dispatch, QueueBoundRejectsOverflowWithPeerUnavailable) {
   for (auto* n : {&n0, &n1}) n->stop_receiving();
   for (auto* n : {&n0, &n1}) n->fail_pending();
   for (auto* n : {&n0, &n1}) n->stop_pool();
+}
+
+/// Bytes one fresh loopback TCP connection absorbs, written in
+/// `chunk`-sized pieces, while nothing reads its far end.
+std::size_t loopback_capacity(std::size_t chunk) {
+  const int lfd = ::socket(AF_INET, SOCK_STREAM, 0);
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  socklen_t len = sizeof(addr);
+  EXPECT_EQ(0, ::bind(lfd, reinterpret_cast<sockaddr*>(&addr), len));
+  EXPECT_EQ(0, ::listen(lfd, 1));
+  EXPECT_EQ(0, ::getsockname(lfd, reinterpret_cast<sockaddr*>(&addr), &len));
+  const int wfd = ::socket(AF_INET, SOCK_STREAM, 0);
+  EXPECT_EQ(0, ::connect(wfd, reinterpret_cast<sockaddr*>(&addr), len));
+  const int rfd = ::accept(lfd, nullptr, nullptr);
+  int one = 1;
+  ::setsockopt(wfd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
+  ::fcntl(wfd, F_SETFL, O_NONBLOCK);
+  const std::vector<char> buf(chunk);
+  std::size_t total = 0;
+  // Stop once the buffers have stayed full for 20 ms: the kernel may grow
+  // the send buffer while the acknowledgements come in.
+  for (int idle_ms = 0; idle_ms < 20;) {
+    const ssize_t n = ::write(wfd, buf.data(), buf.size());
+    if (n > 0) {
+      total += static_cast<std::size_t>(n);
+      idle_ms = 0;
+    } else {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+      ++idle_ms;
+    }
+  }
+  for (const int fd : {wfd, rfd, lfd}) ::close(fd);
+  return total;
+}
+
+// On TCP the reactor routes every request, and it is the only reader of
+// every inbound socket in the process.  Flood an object whose queue_bound
+// of 1 is full with calls it refuses, sending back twice the refusal bytes
+// a loopback connection absorbs.  Eight clients with batched sends outrun
+// the reactor, so one read burst carries more refusals than the reply
+// socket holds: a refusal written on the reactor thread would block on a
+// socket only the reactor could drain.  Sent from the pool, every refusal
+// arrives and every future settles.
+TEST(Dispatch, TcpQueueFullRefusalsSettleBeyondSocketBuffers) {
+  // A refusal frame: the fixed header plus the serialized reason string.
+  constexpr std::size_t kRefusalBytes =
+      wire::kFrameHeaderSize + sizeof(std::uint64_t) +
+      sizeof("object command queue full") - 1;
+  constexpr int kClients = 8;
+  const auto calls_per_client = static_cast<int>(
+      2 * loopback_capacity(kRefusalBytes) / kRefusalBytes / kClients + 1);
+
+  rpc::Node::Options node;
+  node.dispatch.queue_bound = 1;
+  oopp::Cluster cluster(oopp::Cluster::Options{
+      .machines = 2,
+      .fabric = oopp::Cluster::FabricKind::kTcp,
+      .node = node,
+      .transport = {.batch = {.enabled = true}}});
+  auto latch = cluster.make_remote<Latch>(1);
+  auto held = latch.async<&Latch::hold>();
+  Latch::wait_held();
+  auto queued = latch.async<&Latch::ping>();  // fills the one queue slot
+
+  const auto deadline = std::chrono::steady_clock::now() + 60s;
+  std::atomic<int> refused{0};
+  std::atomic<int> other{0};
+  std::vector<std::thread> clients;
+  clients.reserve(kClients);
+  for (int c = 0; c < kClients; ++c) {
+    clients.emplace_back([&] {
+      auto guard = cluster.use(0);
+      std::vector<Future<int>> futs;
+      futs.reserve(static_cast<std::size_t>(calls_per_client));
+      for (int i = 0; i < calls_per_client; ++i)
+        futs.push_back(latch.async<&Latch::ping>());
+      for (auto& f : futs) {
+        try {
+          (void)f.get_for(deadline - std::chrono::steady_clock::now());
+          other.fetch_add(1);
+        } catch (const rpc::PeerUnavailable&) {
+          refused.fetch_add(1);
+        } catch (...) {
+          other.fetch_add(1);  // a timeout: the reactor wedged
+        }
+      }
+    });
+  }
+  for (auto& t : clients) t.join();
+  EXPECT_EQ(refused.load(), kClients * calls_per_client);
+  EXPECT_EQ(other.load(), 0);
+
+  Latch::release();
+  EXPECT_EQ(held.get_for(30s), 1);
+  EXPECT_EQ(queued.get_for(30s), 2);
+  latch.destroy();
 }
 
 // ---------------------------------------------------------------------------

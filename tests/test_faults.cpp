@@ -10,6 +10,7 @@
 #include <fstream>
 #include <string>
 
+#include "collect_sink.hpp"
 #include "core/oopp.hpp"
 #include "net/faulty_fabric.hpp"
 #include "net/inproc_fabric.hpp"
@@ -148,9 +149,9 @@ TEST(Faults, SetFaultsConcurrentWithSendIsRaceFree) {
   // Regression (run under TSan): send() used to read the eligibility
   // flags before taking the fabric mutex, racing with set_faults().  The
   // whole fault decision now sits under the lock.
+  CollectSink a, b;
   net::FaultyFabric fabric(std::make_unique<net::InProcFabric>(2),
                            net::FaultyFabric::Faults{});
-  net::Inbox a, b;
   fabric.attach(0, &a);
   fabric.attach(1, &b);
 
@@ -170,8 +171,6 @@ TEST(Faults, SetFaultsConcurrentWithSendIsRaceFree) {
                        .seed = static_cast<std::uint64_t>(i)});
   }
   sender.join();
-  a.close();
-  b.close();
   fabric.shutdown();
 }
 

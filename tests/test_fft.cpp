@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 #include <numbers>
 #include <atomic>
 #include <thread>
@@ -280,7 +281,11 @@ struct DistCase {
   Extents3 extents;
   int workers;
   bool use_directory;
+  // The test's name is a dump of these bytes; an explicit zeroed tail keeps
+  // uninitialised padding (which varies from run to run) out of it.
+  std::uint8_t pad[3] = {};
 };
+static_assert(sizeof(DistCase) == 32, "DistCase has padding");
 
 class DistributedFft : public ::testing::TestWithParam<DistCase> {};
 

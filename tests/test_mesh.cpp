@@ -182,18 +182,22 @@ TEST_F(MeshDeployment, WatchdogProbesAcrossProcesses) {
   auto dog = cluster_->make_remote<Watchdog>(1, std::uint32_t{15});
   auto victim = cluster_->make_remote_array<double>(2, 8);
   dog.call<&Watchdog::watch>(victim.ptr().ref());
+  // Count the target's own probes: Watchdog::rounds() also counts rounds
+  // that ran before watch() registered it.
+  const auto probes = [&] {
+    const auto reports = dog.call<&Watchdog::status>();
+    return reports.empty() ? std::uint64_t{0} : reports[0].probes;
+  };
   const auto deadline =
       std::chrono::steady_clock::now() + std::chrono::seconds(10);
-  while (dog.call<&Watchdog::rounds>() < 2 &&
-         std::chrono::steady_clock::now() < deadline)
+  while (probes() < 2 && std::chrono::steady_clock::now() < deadline)
     std::this_thread::sleep_for(std::chrono::milliseconds(10));
   auto reports = dog.call<&Watchdog::status>();
   ASSERT_EQ(reports.size(), 1u);
   EXPECT_EQ(reports[0].state, WatchState::kAlive);
   victim.destroy();
-  const auto r0 = dog.call<&Watchdog::rounds>();
-  while (dog.call<&Watchdog::rounds>() < r0 + 3 &&
-         std::chrono::steady_clock::now() < deadline)
+  const auto p0 = probes();
+  while (probes() < p0 + 3 && std::chrono::steady_clock::now() < deadline)
     std::this_thread::sleep_for(std::chrono::milliseconds(10));
   EXPECT_EQ(dog.call<&Watchdog::status>()[0].state, WatchState::kDead);
   dog.destroy();

@@ -1,6 +1,6 @@
 // Sanitizer smoke tests: short, hot concurrent workloads over the
-// primitives where a data race or lifetime bug would hide — Inbox
-// push/pop/close, ElasticPool submit-during-shutdown, Watchdog
+// primitives where a data race or lifetime bug would hide — fabric
+// delivery racing detach(), ElasticPool submit-during-shutdown, Watchdog
 // construct/destroy under probing.  They assert functional properties
 // (counts, exceptions) and exist chiefly so the TSan/ASan CI lanes have
 // racy-by-construction traffic to inspect.
@@ -8,86 +8,102 @@
 
 #include <atomic>
 #include <chrono>
+#include <map>
+#include <mutex>
 #include <thread>
 #include <vector>
 
 #include "core/oopp.hpp"
 #include "core/watchdog.hpp"
-#include "net/inbox.hpp"
+#include "net/inproc_fabric.hpp"
 #include "util/thread_pool.hpp"
 
 using namespace std::chrono_literals;
-using oopp::net::Inbox;
 using oopp::net::Message;
 
 namespace {
 
-Message make_msg(std::uint64_t seq) {
-  return oopp::net::make_request(
-      0, 1, seq, /*object=*/0, /*method=*/0,
-      std::vector<std::byte>(8, static_cast<std::byte>(seq & 0xff)),
-      /*checksum=*/false);
-}
+/// Counts deliveries, any that start after the test saw detach() return,
+/// and whether each producer's messages arrive in its send order.
+class CountingSink final : public oopp::net::Sink {
+ public:
+  void deliver(Message m) override {
+    std::lock_guard<std::mutex> lk(mu_);
+    if (detached_) ++late_;
+    ++delivered_;
+    const auto producer = m.header.object;
+    auto [it, fresh] = last_.emplace(producer, m.header.seq);
+    if (!fresh) {
+      if (m.header.seq <= it->second) ++reordered_;
+      it->second = m.header.seq;
+    }
+  }
+  void mark_detached() {
+    std::lock_guard<std::mutex> lk(mu_);
+    detached_ = true;
+  }
+  int delivered() const {
+    std::lock_guard<std::mutex> lk(mu_);
+    return delivered_;
+  }
+  int late() const {
+    std::lock_guard<std::mutex> lk(mu_);
+    return late_;
+  }
+  int reordered() const {
+    std::lock_guard<std::mutex> lk(mu_);
+    return reordered_;
+  }
 
-// Producers and consumers hammer one inbox; close() lands mid-stream.
-// Every message accepted before close() must be delivered exactly once,
-// and every consumer must observe the closed/drained nullopt.
-TEST(SanitizeSmoke, InboxConcurrentPushPopClose) {
+ private:
+  mutable std::mutex mu_;
+  bool detached_ = false;
+  int delivered_ = 0;
+  int late_ = 0;
+  int reordered_ = 0;
+  std::map<std::uint64_t, std::uint64_t> last_;  // producer -> last seq
+};
+
+// Producers hammer one machine while detach() lands mid-stream, over both
+// delivery paths: the senders' own threads (free network) and the delay
+// timer (a cost model; every 7th message is big, so the queue holds a
+// backlog when detach() collapses it).  Nothing is delivered twice or
+// after detach() returns, and each producer's messages stay in order.
+TEST(SanitizeSmoke, ConcurrentSendDetach) {
   constexpr int kProducers = 4;
-  constexpr int kConsumers = 4;
   constexpr int kPerProducer = 500;
+  const oopp::net::CostModel slow_link{.bytes_per_us = 1.0};
+  for (const auto& cost : {oopp::net::CostModel::zero(), slow_link}) {
+    CountingSink source, target;
+    oopp::net::InProcFabric fabric(2, cost);
+    fabric.attach(0, &source);
+    fabric.attach(1, &target);
 
-  Inbox inbox;
-  std::atomic<int> popped{0};
-  std::atomic<int> drained{0};
-
-  std::vector<std::thread> threads;
-  threads.reserve(kProducers + kConsumers + 1);
-  for (int c = 0; c < kConsumers; ++c) {
+    std::vector<std::thread> threads;
+    threads.reserve(kProducers + 1);
+    for (int p = 0; p < kProducers; ++p) {
+      threads.emplace_back([&, p] {
+        for (int i = 0; i < kPerProducer; ++i) {
+          fabric.send(oopp::net::make_request(
+              0, 1, static_cast<std::uint64_t>(i),
+              /*object=*/static_cast<std::uint64_t>(p), /*method=*/0,
+              std::vector<std::byte>(i % 7 == 0 ? 2000 : 8),
+              /*checksum=*/false));
+        }
+      });
+    }
     threads.emplace_back([&] {
-      while (inbox.pop().has_value()) popped.fetch_add(1);
-      drained.fetch_add(1);
+      std::this_thread::sleep_for(5ms);
+      fabric.detach(1);
+      target.mark_detached();
     });
-  }
-  for (int p = 0; p < kProducers; ++p) {
-    threads.emplace_back([&, p] {
-      for (int i = 0; i < kPerProducer; ++i) {
-        // A mix of immediate and future delivery times so close() catches
-        // consumers inside the timed wait.
-        auto at = oopp::steady_clock::now() + ((i % 7 == 0) ? 2ms : 0ms);
-        inbox.push(make_msg(static_cast<std::uint64_t>(p * kPerProducer + i)),
-                   at);
-      }
-    });
-  }
-  threads.emplace_back([&] {
-    std::this_thread::sleep_for(5ms);
-    inbox.close();
-  });
-  for (auto& t : threads) t.join();
+    for (auto& t : threads) t.join();
+    fabric.shutdown();
 
-  // close() may race individual pushes (those are dropped by design), but
-  // nothing is delivered twice and nothing accepted goes missing:
-  EXPECT_LE(popped.load(), kProducers * kPerProducer);
-  EXPECT_EQ(inbox.size(), 0u);  // consumers fully drained the backlog
-  EXPECT_EQ(drained.load(), kConsumers);
-}
-
-// Everything pushed strictly before close() is delivered despite pending
-// simulated delays (the delay collapses at close).
-TEST(SanitizeSmoke, InboxCloseReleasesDelayedBacklog) {
-  Inbox inbox;
-  for (int i = 0; i < 32; ++i)
-    inbox.push(make_msg(static_cast<std::uint64_t>(i)),
-               oopp::steady_clock::now() + 10s);  // far future
-  std::thread closer([&] {
-    std::this_thread::sleep_for(2ms);
-    inbox.close();
-  });
-  int got = 0;
-  while (inbox.pop().has_value()) ++got;  // must not wait 10 seconds
-  closer.join();
-  EXPECT_EQ(got, 32);
+    EXPECT_LE(target.delivered(), kProducers * kPerProducer);
+    EXPECT_EQ(target.late(), 0);
+    EXPECT_EQ(target.reordered(), 0);
+  }
 }
 
 // Submitters race shutdown(): each submit either runs (the pool accepted

@@ -19,7 +19,7 @@ class Racy {
 };
 
 // Mentions in comments or strings must NOT be flagged:
-//   std::mutex, detach(), inbox_.pop()
+//   std::mutex, detach()
 inline const char* kDoc = "never call detach() or std::mutex directly";
 
 // A suppressed use is also clean:

@@ -18,10 +18,6 @@ raw-thread-primitive    ``std::mutex`` / ``std::shared_mutex`` /
 thread-detach           ``.detach()`` is banned everywhere: a detached
                         thread outlives shutdown and races static
                         destruction.
-inbox-pop-dispatch      Blocking ``Inbox::pop()`` belongs to the node's
-                        receiver loop (src/rpc/node.cpp) alone.  A pop()
-                        on a dispatch/servant thread stalls the whole
-                        machine's message delivery.
 raw-message-header      Hand-assembled ``net::Message`` headers (naming
                         ``MessageHeader`` or assigning ``.header.<field>``)
                         are banned outside ``src/net/``: go through
@@ -104,9 +100,6 @@ CPP_SUFFIXES = {".cpp", ".hpp", ".cc", ".hh", ".cxx", ".h"}
 # thread owners live here).
 RAW_PRIMITIVE_ALLOWED = ("src/util/",)
 
-# The one place a blocking Inbox::pop() is legitimate.
-INBOX_POP_ALLOWED = ("src/rpc/node.cpp",)
-
 # Message headers are assembled by make_request/make_response here only.
 MESSAGE_HEADER_ALLOWED = ("src/net/",)
 
@@ -129,8 +122,6 @@ RULES = {
         "std::mutex/condition_variable/thread banned outside src/util/",
     "thread-detach":
         "thread detach() banned everywhere",
-    "inbox-pop-dispatch":
-        "blocking Inbox::pop() only in the node receiver loop",
     "raw-message-header":
         "hand-built net::Message headers banned outside src/net/",
     "future-bare-get":
@@ -319,7 +310,7 @@ def check_serialize_coverage(path: Path, text: str, raw_lines: list[str]):
 
 
 # --------------------------------------------------------------------------
-# raw-thread-primitive / thread-detach / inbox-pop-dispatch
+# raw-thread-primitive / thread-detach
 # --------------------------------------------------------------------------
 
 RAW_PRIMITIVE_RE = re.compile(
@@ -327,7 +318,6 @@ RAW_PRIMITIVE_RE = re.compile(
     r"condition_variable|condition_variable_any|thread|jthread)\b"
 )
 DETACH_RE = re.compile(r"[.\->]\s*detach\s*\(\s*\)")
-INBOX_POP_RE = re.compile(r"\b(\w*[Ii]nbox\w*(?:\(\s*\))?)\s*(?:\.|->)\s*pop\s*\(")
 # Naming the header type, or writing through `.header.<field> =` (a lone
 # `=` — `==` comparisons are reads and stay legal).
 MESSAGE_HEADER_RE = re.compile(
@@ -428,22 +418,6 @@ def check_token_rules(path: Path, text: str, raw_lines: list[str], rel: str):
                     "batch-frame framing outside src/net/ — only "
                     "net::wire::send_batch / StreamFrameDecoder may emit or "
                     "parse the 0xB5 batch header, so the codec cannot fork",
-                )
-            )
-
-    if not any(rel.endswith(p) or rel == p for p in INBOX_POP_ALLOWED):
-        for m in INBOX_POP_RE.finditer(text):
-            line = line_of(text, m.start())
-            if suppressed(raw_lines, line, "inbox-pop-dispatch"):
-                continue
-            violations.append(
-                Violation(
-                    path,
-                    line,
-                    "inbox-pop-dispatch",
-                    f"blocking pop() on '{m.group(1)}' outside the node "
-                    f"receiver loop — this stalls message delivery for "
-                    f"the whole machine",
                 )
             )
     return violations
